@@ -10,7 +10,7 @@ its split parts are always formed as Jacobian-vector products
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +51,7 @@ def fd_jacobian(f: Callable[[Array], Array], w: Array, h_rule=default_fd_steps) 
             fm = np.asarray(f(wm), dtype=float)
         cols.append((fp - fm) / (2.0 * h[j]))
     jac = np.column_stack(cols)
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise NonFiniteError("finite-difference Jacobian evaluation produced NaN/Inf")
     return jac
 
@@ -96,26 +96,33 @@ class SplitProblem:
 
 @dataclass(frozen=True)
 class FluxBundle:
-    """Phi_E, Phi_I and their solution-derivatives dPhi_E, dPhi_I at one state."""
+    """Phi_E, Phi_I and their solution-derivatives dPhi_E, dPhi_I at one state.
+
+    The sums ``phi`` and ``dphi`` are formed once, on construction: every
+    correction sweep reads them once per quadrature that uses the bundle.
+    """
 
     phi_e: Array
     phi_i: Array
     dphi_e: Array
     dphi_i: Array
+    phi: Array = field(init=False, repr=False, compare=False)
+    dphi: Array = field(init=False, repr=False, compare=False)
 
-    @property
-    def phi(self) -> Array:
-        return self.phi_e + self.phi_i
+    def __post_init__(self):
+        object.__setattr__(self, "phi", self.phi_e + self.phi_i)
+        object.__setattr__(self, "dphi", self.dphi_e + self.dphi_i)
 
-    @property
-    def dphi(self) -> Array:
-        return self.dphi_e + self.dphi_i
+
+def all_finite(*arrays: Array) -> bool:
+    """True when no entry of the 1-D arrays is NaN or Inf (one check for all)."""
+    return bool(np.isfinite(np.concatenate(arrays)).all())
 
 
 def eval_bundle(p: SplitProblem, w: Array) -> FluxBundle:
     """Evaluate (Phi_E, Phi_I, dPhi_E, dPhi_I) at ``w``; raise NonFiniteError on NaN/Inf."""
     w = _as_state(w)
-    if w.size != p.dim or not np.all(np.isfinite(w)):
+    if w.size != p.dim or not np.isfinite(w).all():
         raise NonFiniteError(f"invalid state for bundle evaluation: {w!r}")
     with np.errstate(all="ignore"):
         fe = np.asarray(p.phi_e(w), dtype=float)
@@ -123,7 +130,6 @@ def eval_bundle(p: SplitProblem, w: Array) -> FluxBundle:
         ftot = fe + fi
         de = np.asarray(p.jac_e(w), dtype=float) @ ftot
         di = np.asarray(p.jac_i(w), dtype=float) @ ftot
-    if not (np.all(np.isfinite(fe)) and np.all(np.isfinite(fi))
-            and np.all(np.isfinite(de)) and np.all(np.isfinite(di))):
+    if not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
     return FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di)

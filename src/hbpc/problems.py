@@ -124,21 +124,27 @@ _ARENSTORF_W0 = np.array([0.994, 0.0, 0.0, -2.001585106379])
 _ARENSTORF_PERIOD = 17.065216560159
 
 
-def _gravity_terms(u: float, y: float):
-    """G = d/d(x,y) of (u, y)/r^3 for r^2 = u^2 + y^2, plus dG/dx and dG/dy."""
+def _gravity(u: float, y: float):
+    """G = d/d(x,y) of (u, y)/r^3 for r^2 = u^2 + y^2."""
     r2 = u * u + y * y
     r3 = r2 ** -1.5
     r5 = r2 ** -2.5
+    return np.array([[r3 - 3.0 * u * u * r5, -3.0 * u * y * r5],
+                     [-3.0 * u * y * r5, r3 - 3.0 * y * y * r5]])
+
+
+def _gravity_derivs(u: float, y: float):
+    """dG/dx and dG/dy of the matrix G of ``_gravity``."""
+    r2 = u * u + y * y
+    r5 = r2 ** -2.5
     r7 = r2 ** -3.5
-    G = np.array([[r3 - 3.0 * u * u * r5, -3.0 * u * y * r5],
-                  [-3.0 * u * y * r5, r3 - 3.0 * y * y * r5]])
     dP_dx = -9.0 * u * r5 + 15.0 * u ** 3 * r7
     dP_dy = -3.0 * y * r5 + 15.0 * u * u * y * r7
     dQ_dy = -3.0 * u * r5 + 15.0 * u * y * y * r7
     dR_dy = -9.0 * y * r5 + 15.0 * y ** 3 * r7
     dG_dx = np.array([[dP_dx, dP_dy], [dP_dy, dQ_dy]])
     dG_dy = np.array([[dP_dy, dQ_dy], [dQ_dy, dR_dy]])
-    return G, dG_dx, dG_dy
+    return dG_dx, dG_dy
 
 
 def arenstorf() -> SplitProblem:
@@ -172,23 +178,22 @@ def arenstorf() -> SplitProblem:
         return jac_e_mat
 
     def _accel_jac(w):
-        G1, dG1_dx, dG1_dy = _gravity_terms(w[0] + _MU, w[1])
-        G2, dG2_dx, dG2_dy = _gravity_terms(w[0] - _MU_P, w[1])
-        A = -_MU_P * G1 - _MU * G2
-        dA_dx = -_MU_P * dG1_dx - _MU * dG2_dx
-        dA_dy = -_MU_P * dG1_dy - _MU * dG2_dy
-        return A, dA_dx, dA_dy
+        # A = d(ax, ay)/d(x, y); jac_i needs only this, not its derivatives
+        return -_MU_P * _gravity(w[0] + _MU, w[1]) - _MU * _gravity(w[0] - _MU_P, w[1])
 
     def jac_i(w):
-        A, _, _ = _accel_jac(w)
         J = np.zeros((4, 4))
-        J[2:, :2] = A
+        J[2:, :2] = _accel_jac(w)
         return J
 
     def dphi_i_jac(w):
         # rows 3,4 of Phi_I' Phi equal A @ (w3, w4); differentiate in all four
         # coordinates (A depends on x, y only)
-        A, dA_dx, dA_dy = _accel_jac(w)
+        A = _accel_jac(w)
+        dG1_dx, dG1_dy = _gravity_derivs(w[0] + _MU, w[1])
+        dG2_dx, dG2_dy = _gravity_derivs(w[0] - _MU_P, w[1])
+        dA_dx = -_MU_P * dG1_dx - _MU * dG2_dx
+        dA_dy = -_MU_P * dG1_dy - _MU * dG2_dy
         v = w[2:]
         M = np.zeros((4, 4))
         M[2:, 0] = dA_dx @ v

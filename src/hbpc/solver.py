@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Array, FluxBundle, SplitProblem, eval_bundle, fd_jacobian
+from .core import (Array, FluxBundle, NonFiniteError, SplitProblem, all_finite,
+                   eval_bundle, fd_jacobian)
 from .newton import NewtonConfig, NewtonResult
 from . import newton as _newton
 from .tableaux import TwoDerivativeTableau, builtin, quadrature
@@ -141,30 +142,50 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, w_start: Array,
                  ncfg: NewtonConfig):
     """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs; return (w, bundle, result).
 
-    The residual Jacobian is assembled analytically when the problem carries
-    d(dPhi_I)/dw, otherwise by finite differences of the residual map.
+    Each Newton state is evaluated once: the residual calls Phi_E, Phi_I and
+    Phi_I' one time each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as
+    the last evaluation. The Newton matrix reuses that Phi_I' (Newton asks for
+    it only at the state the residual saw last), and the converged bundle is
+    the last evaluation plus dPhi_E = Phi_E' Phi, bitwise what ``eval_bundle``
+    gives at the solved state. The evaluation lives in this call, so
+    concurrent solves share nothing. The residual Jacobian is assembled
+    analytically when the problem carries d(dPhi_I)/dw, otherwise by finite
+    differences of the residual map.
     """
     half_a2 = 0.5 * a * a
+    last = None  # (w, Phi_E, Phi_I, Phi, Phi_I', dPhi_I) at the last residual state
 
     def F(w):
+        nonlocal last
         with np.errstate(all="ignore"):
-            ftot = p.phi_e(w) + p.phi_i(w)
+            fe = p.phi_e(w)
             fi = p.phi_i(w)
-            di = p.jac_i(w) @ ftot
+            ji = p.jac_i(w)
+            ftot = fe + fi
+            di = ji @ ftot
+        last = (w, fe, fi, ftot, ji, di)
         return w - a * fi + half_a2 * di - rhs
 
     if p.dphi_i_jac is not None:
         eye = np.eye(p.dim)
 
         def J(w):
+            ji = last[4] if last[0] is w else p.jac_i(w)
             with np.errstate(all="ignore"):
-                return eye - a * p.jac_i(w) + half_a2 * p.dphi_i_jac(w)
+                return eye - a * ji + half_a2 * p.dphi_i_jac(w)
     else:
         def J(w):
             return fd_jacobian(F, w)
 
     res = _newton.solve(F, J, w_start, ncfg)
-    return res.w, eval_bundle(p, res.w), res
+    if last[0] is not res.w:  # never, while newton.solve keeps its contract
+        F(res.w)
+    w, fe, fi, ftot, _, di = last
+    with np.errstate(all="ignore"):
+        de = p.jac_e(w) @ ftot
+    if not all_finite(fe, fi, de, di):
+        raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
+    return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
 
 
 def seed(p: SplitProblem, cfg: SolverConfig) -> IterateGrid:
@@ -173,20 +194,6 @@ def seed(p: SplitProblem, cfg: SolverConfig) -> IterateGrid:
     f0 = eval_bundle(p, p.w0)
     prev = [StageSource(p.w0.copy(), f0) for _ in range(cfg.kmax + 1)]
     return IterateGrid(s=tab.s, kmax=cfg.kmax, prev_last=prev)
-
-
-def predict_stage(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
-                  prev: StageSource, cfg: SolverConfig):
-    """Predictor stage l: implicit second-order Taylor step from the source.
-
-    Solves w = w_src + c_l dt (Phi_I(w) + Phi_E(w_src))
-               + (c_l dt)^2/2 (dPhi_E(w_src) - dPhi_I(w)); stage 0 copies.
-    """
-    if l == 0:
-        return prev.w, prev.f, _copy_result(prev.w)
-    a = tab.c[l] * dt
-    rhs = prev.w + a * prev.f.phi_e + 0.5 * a * a * prev.f.dphi_e
-    return _solve_stage(p, a, rhs, prev.w, cfg.newton)
 
 
 def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
@@ -208,22 +215,14 @@ def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
     return _solve_stage(p, dt, rhs, w_start, ncfg)
 
 
-def correct_stage(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
-                  k: int, grid: IterateGrid, variant: str, cfg: SolverConfig):
-    """Correction stage l producing iterate k+1 from the grid's iterate k."""
-    red = grid.red_source(k + 1, variant)
-    blue_w, blue_f = grid.w[k], grid.f[k]
-    if variant in ("Alg2", "Limit"):
-        quad_f = grid.f[k + 1][:l] + blue_f[l:]
-    else:
-        quad_f = blue_f
-    return _correct_one(p, tab, dt, l, red, blue_w, blue_f, quad_f, cfg.newton,
-                        cfg.corrector_start)
-
-
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                     src: StageSource, ncfg: NewtonConfig):
-    """All predictor stages from one source; returns (states, bundles, results)."""
+    """All predictor stages from one source; returns (states, bundles, results).
+
+    Stage l > 0 is an implicit second-order Taylor step: it solves
+    w = w_src + c_l dt (Phi_I(w) + Phi_E(w_src))
+          + (c_l dt)^2/2 (dPhi_E(w_src) - dPhi_I(w)); stage 0 copies the source.
+    """
     ws, fs, results = [], [], []
     for l in range(tab.s):
         if l == 0:

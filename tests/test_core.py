@@ -91,6 +91,7 @@ def test_eval_bundle_composes_derivatives():
     assert b.dphi_e == pytest.approx(a_e @ total, rel=1e-14)
     assert b.dphi_i == pytest.approx(a_i @ total, rel=1e-14)
     assert b.dphi == pytest.approx((a_e + a_i) @ total, rel=1e-14)
+    assert b.phi is b.phi and b.dphi is b.dphi  # each sum formed once
 
 
 def test_eval_bundle_flags_nonfinite_flux():

@@ -113,3 +113,28 @@ def test_diagonally_dominant_linear_solve_is_exact(b, shift):
     res = solve(F, J, np.zeros(2))
     assert res.iters <= 1
     assert res.w == pytest.approx(np.linalg.solve(A, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("A", [
+    [[1e-301, 0.0], [0.0, 1.0]],                     # pivot below 1e-300
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],  # exactly singular
+], ids=["tiny_pivot", "exactly_singular"])
+def test_degenerate_newton_matrix_raises(A):
+    A = np.asarray(A)
+    F = lambda w: np.ones(len(A))
+    with pytest.raises(SingularJacobianError):
+        solve(F, lambda w: A, np.zeros(len(A)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_lu_solve_matches_scipy_bitwise(d, rnd):
+    # The direct LAPACK calls must reproduce scipy.linalg.lu_factor/lu_solve.
+    import scipy.linalg
+    from hbpc.newton import _lu_solve_checked
+
+    J = np.array([[rnd.uniform(-2, 2) for _ in range(d)] for _ in range(d)])
+    J += 3.0 * np.eye(d)
+    rhs = np.array([rnd.uniform(-2, 2) for _ in range(d)])
+    ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(J), rhs)
+    assert _lu_solve_checked(J, rhs).tobytes() == ref.tobytes()

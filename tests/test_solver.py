@@ -1,11 +1,13 @@
 """Serial predictor-corrector: exactness, variants, adaptivity, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hbpc.core import SplitProblem
 from hbpc.newton import NewtonConfig
-from hbpc.problems import pareschi_russo, scalar_pow
+from hbpc.problems import BUILTIN, make, pareschi_russo, scalar_pow, van_der_pol
 from hbpc.solver import (CapExceededError, IterateGrid, NoConvergenceError,
                          RunResult, SolverConfig, StageSource, adaptive_kmax,
                          integrate, limit_integrate, seed)
@@ -229,3 +231,107 @@ def test_keep_traces_records_every_step():
     assert len(tr.last_stage_w) == 3
     assert run.newton_per_iterate == pytest.approx(
         sum(t.newton_iters for t in run.traces))
+
+
+# -- the fused stage solve ----------------------------------------------------
+
+_CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
+
+
+def _counted(p):
+    """Copy of ``p`` whose callbacks count their calls, built the way an
+    outside tracer builds it (``dataclasses.replace``)."""
+    calls = dict.fromkeys(_CALLBACKS, 0)
+
+    def wrap(name, fn):
+        def counted(w):
+            calls[name] += 1
+            return fn(w)
+        return counted
+
+    return replace(p, **{cb: wrap(cb, getattr(p, cb)) for cb in _CALLBACKS
+                         if getattr(p, cb) is not None}), calls
+
+
+def _predictor_stage(p, steps=200):
+    """(a, rhs, w_start) of the last predictor stage of the first step."""
+    from hbpc.core import eval_bundle
+
+    a = p.t_end / steps
+    f0 = eval_bundle(p, p.w0)
+    return a, p.w0 + a * f0.phi_e + 0.5 * a * a * f0.dphi_e, p.w0.copy()
+
+
+def _fd_problem():
+    base = van_der_pol(0.1)
+    return SplitProblem(dim=2, phi_e=base.phi_e, phi_i=base.phi_i,
+                        w0=base.w0, t_end=base.t_end, name="fd_van_der_pol")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_stage_solve_evaluates_each_newton_state_once(name, monkeypatch):
+    import hbpc.solver as solver_mod
+
+    def no_bundle(*args):
+        raise AssertionError("the stage solve must not call eval_bundle")
+
+    a, rhs, w_start = _predictor_stage(make(name))
+    p, calls = _counted(make(name))
+    monkeypatch.setattr(solver_mod, "eval_bundle", no_bundle)
+    _, _, res = solver_mod._solve_stage(p, a, rhs, w_start, NewtonConfig())
+    assert res.iters >= 1
+    assert calls == {"phi_e": 1 + res.iters, "phi_i": 1 + res.iters,
+                     "jac_i": 1 + res.iters, "jac_e": 1,
+                     "dphi_i_jac": res.iters}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
+def test_stage_solve_bundle_is_eval_bundle_bitwise(name):
+    from hbpc.core import eval_bundle
+    from hbpc.solver import _solve_stage
+
+    p = _fd_problem() if name == "fd" else make(name)
+    a, rhs, w_start = _predictor_stage(p)
+    w, f, res = _solve_stage(p, a, rhs, w_start, NewtonConfig())
+    assert res.iters >= 1
+    ref = eval_bundle(p, w)
+    for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
+        assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+def test_stage_solve_bundle_follows_the_returned_state(monkeypatch):
+    # A Newton that returns a state its residual never saw must still get
+    # the bundle of that state, not of the last one evaluated.
+    import hbpc.newton as newton_mod
+    from hbpc.core import eval_bundle
+    from hbpc.solver import _solve_stage
+
+    solve = newton_mod.solve
+
+    def moved(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.w = res.w + 1e-3
+        return res
+
+    monkeypatch.setattr(newton_mod, "solve", moved)
+    p = make("arenstorf")
+    w, f, res = _solve_stage(p, *_predictor_stage(p), NewtonConfig())
+    assert w is res.w
+    assert f.dphi.tobytes() == eval_bundle(p, w).dphi.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["phi_e", "jac_e"])
+def test_stage_solve_flags_nonfinite_at_the_solved_state(bad):
+    # phi_e is finite only at the start state, so NaN first shows at the
+    # states Newton moves to; jac_e is NaN everywhere, but only the converged
+    # bundle (dPhi_E) ever evaluates it.
+    from hbpc.core import NonFiniteError
+    from hbpc.solver import _solve_stage
+
+    p = _pure_implicit_decay()
+    if bad == "phi_e":
+        p = replace(p, phi_e=lambda w: np.full(1, 0.0 if w[0] == 1.0 else np.nan))
+    else:
+        p = replace(p, jac_e=lambda w: np.full((1, 1), np.nan))
+    with pytest.raises(NonFiniteError):
+        _solve_stage(p, 0.1, np.ones(1), np.ones(1), NewtonConfig())
