@@ -82,11 +82,13 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
 
     ``F`` maps a state to the residual vector, ``J`` maps a state to the d x d
     residual Jacobian; ``J`` is called only at the state ``F`` evaluated last,
-    and the returned ``w`` is the last state ``F`` evaluated. Raises
-    SingularJacobianError on a degenerate linearization and NonFiniteError if
-    the residual or the Jacobian holds NaN/Inf.
+    and the returned ``w`` is the last state ``F`` evaluated. ``F`` first sees
+    ``w0`` itself (not a copy) when it is a float array, and that same object
+    is returned when no iteration runs; Newton never updates a state in place.
+    Raises SingularJacobianError on a degenerate linearization and
+    NonFiniteError if the residual or the Jacobian holds NaN/Inf.
     """
-    w = np.array(w0, dtype=float)
+    w = np.asarray(w0, dtype=float)
     r = np.asarray(F(w), dtype=float)
     if not np.isfinite(r).all():
         raise NonFiniteError("non-finite residual at the Newton starting point")

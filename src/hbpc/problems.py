@@ -181,15 +181,26 @@ def arenstorf() -> SplitProblem:
         # A = d(ax, ay)/d(x, y); jac_i needs only this, not its derivatives
         return -_MU_P * _gravity(w[0] + _MU, w[1]) - _MU * _gravity(w[0] - _MU_P, w[1])
 
+    # (w, A) of the last jac_i call: a Newton matrix asks for jac_i and then
+    # dphi_i_jac at the same state object. Replaced as one tuple, so a thread
+    # reading it sees a matching pair; keyed by identity, since the solver
+    # never updates a state in place.
+    accel_memo = (None, None)
+
     def jac_i(w):
+        nonlocal accel_memo
+        A = _accel_jac(w)
+        accel_memo = (w, A)
         J = np.zeros((4, 4))
-        J[2:, :2] = _accel_jac(w)
+        J[2:, :2] = A
         return J
 
     def dphi_i_jac(w):
         # rows 3,4 of Phi_I' Phi equal A @ (w3, w4); differentiate in all four
         # coordinates (A depends on x, y only)
-        A = _accel_jac(w)
+        w_memo, A = accel_memo
+        if w_memo is not w:
+            A = _accel_jac(w)
         dG1_dx, dG1_dy = _gravity_derivs(w[0] + _MU, w[1])
         dG2_dx, dG2_dy = _gravity_derivs(w[0] - _MU_P, w[1])
         dA_dx = -_MU_P * dG1_dx - _MU * dG2_dx

@@ -23,6 +23,7 @@ performs bit-identical floating-point work.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -138,50 +139,66 @@ def _copy_result(w: Array) -> NewtonResult:
     return NewtonResult(w=w, iters=0, residual_norm=0.0, converged_by="absolute")
 
 
-def _solve_stage(p: SplitProblem, a: float, rhs: Array, w_start: Array,
-                 ncfg: NewtonConfig):
-    """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs; return (w, bundle, result).
+@functools.cache
+def _eye(dim: int) -> Array:
+    """The dim x dim identity, built once per dim and read-only."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
-    Each Newton state is evaluated once: the residual calls Phi_E, Phi_I and
-    Phi_I' one time each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as
-    the last evaluation. The Newton matrix reuses that Phi_I' (Newton asks for
-    it only at the state the residual saw last), and the converged bundle is
-    the last evaluation plus dPhi_E = Phi_E' Phi, bitwise what ``eval_bundle``
+
+def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
+                 ncfg: NewtonConfig):
+    """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs from ``start``; return
+    (w, bundle, result).
+
+    Newton starts at ``start.w`` and its first residual reads Phi_I and dPhi_I
+    from ``start.f``, so the start state costs no callback; Phi_I' there is
+    evaluated only if Newton takes an iteration, and a solve that converges
+    at its start returns ``start.w`` and ``start.f`` themselves. Every other
+    Newton state is evaluated once: the residual calls Phi_E, Phi_I and Phi_I'
+    one time each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as the
+    last evaluation. The Newton matrix reuses that Phi_I' (Newton asks for it
+    only at the state the residual saw last), and the converged bundle is the
+    last evaluation plus dPhi_E = Phi_E' Phi, bitwise what ``eval_bundle``
     gives at the solved state. The evaluation lives in this call, so
     concurrent solves share nothing. The residual Jacobian is assembled
     analytically when the problem carries d(dPhi_I)/dw, otherwise by finite
     differences of the residual map.
     """
     half_a2 = 0.5 * a * a
-    last = None  # (w, Phi_E, Phi_I, Phi, Phi_I', dPhi_I) at the last residual state
+    # (w, Phi_E, Phi_I, Phi, Phi_I', dPhi_I) at the last state past the start
+    last = (None,) * 6
 
     def F(w):
         nonlocal last
-        with np.errstate(all="ignore"):
-            fe = p.phi_e(w)
-            fi = p.phi_i(w)
-            ji = p.jac_i(w)
-            ftot = fe + fi
-            di = ji @ ftot
+        if w is start.w:
+            return w - a * start.f.phi_i + half_a2 * start.f.dphi_i - rhs
+        fe = p.phi_e(w)
+        fi = p.phi_i(w)
+        ji = p.jac_i(w)
+        ftot = fe + fi
+        di = ji @ ftot
         last = (w, fe, fi, ftot, ji, di)
         return w - a * fi + half_a2 * di - rhs
 
     if p.dphi_i_jac is not None:
-        eye = np.eye(p.dim)
+        eye = _eye(p.dim)
 
         def J(w):
             ji = last[4] if last[0] is w else p.jac_i(w)
-            with np.errstate(all="ignore"):
-                return eye - a * ji + half_a2 * p.dphi_i_jac(w)
+            return eye - a * ji + half_a2 * p.dphi_i_jac(w)
     else:
         def J(w):
             return fd_jacobian(F, w)
 
-    res = _newton.solve(F, J, w_start, ncfg)
-    if last[0] is not res.w:  # never, while newton.solve keeps its contract
-        F(res.w)
-    w, fe, fi, ftot, _, di = last
     with np.errstate(all="ignore"):
+        res = _newton.solve(F, J, start.w, ncfg)
+        if res.w is start.w:
+            return start.w, start.f, res
+        if last[0] is not res.w:  # never, while newton.solve keeps its contract
+            F(res.w)
+        w, fe, fi, ftot, _, di = last
         de = p.jac_e(w) @ ftot
     if not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
@@ -211,8 +228,8 @@ def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
     dphis = [b.dphi for b in quad_f]
     i_l = quadrature(tab, l, dt, phis, dphis)
     rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
-    w_start = blue_w[l] if start == "hierarchical" else red.w
-    return _solve_stage(p, dt, rhs, w_start, ncfg)
+    src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
+    return _solve_stage(p, dt, rhs, src, ncfg)
 
 
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
@@ -230,7 +247,7 @@ def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
         else:
             a = tab.c[l] * dt
             rhs = src.w + a * src.f.phi_e + 0.5 * a * a * src.f.dphi_e
-            w, f, res = _solve_stage(p, a, rhs, src.w, ncfg)
+            w, f, res = _solve_stage(p, a, rhs, src, ncfg)
         ws.append(w)
         fs.append(f)
         results.append(res)

@@ -138,3 +138,20 @@ def test_lu_solve_matches_scipy_bitwise(d, rnd):
     rhs = np.array([rnd.uniform(-2, 2) for _ in range(d)])
     ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(J), rhs)
     assert _lu_solve_checked(J, rhs).tobytes() == ref.tobytes()
+
+
+def test_solve_starts_from_w0_itself_and_never_mutates_it():
+    seen = []
+
+    def F(w):
+        seen.append(w)
+        return w - 2.0
+
+    J = lambda w: np.eye(1)
+    w0 = np.array([2.0])
+    res = solve(F, J, w0)
+    assert res.iters == 0 and res.w is w0 and len(seen) == 1 and seen[0] is w0
+    w0 = np.array([1.0])
+    res = solve(F, J, w0)
+    assert res.iters == 1 and seen[1] is w0 and res.w is not w0
+    assert w0[0] == 1.0 and res.w[0] == 2.0

@@ -122,3 +122,55 @@ def test_pareschi_russo_jacobian_consistency_everywhere(w1, w2, eps):
     w = np.array([w1, w2])
     assert p.jac_i(w) == pytest.approx(fd_jacobian(p.phi_i, w),
                                        rel=1e-5, abs=1e-4)
+
+
+def test_arenstorf_dphi_i_jac_reuses_jac_i_bitwise():
+    # dphi_i_jac takes the gravity matrix from the last jac_i call only when
+    # it saw the same state object; alternating or equal-valued states must
+    # give exactly what a fresh instance computes from scratch.
+    p = arenstorf()
+    w1 = np.array([0.4, 0.3, -0.2, 0.1])
+    w2 = np.array([0.9, -0.05, 0.3, -1.8])
+
+    def fresh(w):
+        return arenstorf().dphi_i_jac(w).tobytes()
+
+    p.jac_i(w1)
+    assert p.dphi_i_jac(w1).tobytes() == fresh(w1)
+    p.jac_i(w2)
+    assert p.dphi_i_jac(w1).tobytes() == fresh(w1)
+    assert p.dphi_i_jac(w2).tobytes() == fresh(w2)
+    assert p.dphi_i_jac(w2.copy()).tobytes() == fresh(w2)
+    p.jac_i(w1)
+    p.jac_i(w2)
+    assert p.dphi_i_jac(w1).tobytes() == fresh(w1)
+    assert p.dphi_i_jac(w2).tobytes() == fresh(w2)
+
+
+def test_arenstorf_gravity_memo_under_thread_switching():
+    import sys
+    import threading
+
+    p = arenstorf()
+    states = [np.array([0.4 + 0.1 * i, 0.3, -0.2, 0.1 * i]) for i in range(4)]
+    refs = [arenstorf().dphi_i_jac(w).tobytes() for w in states]
+    bad = []
+
+    def run(i):
+        for _ in range(300):
+            p.jac_i(states[i])
+            if p.dphi_i_jac(states[i]).tobytes() != refs[i]:
+                bad.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []

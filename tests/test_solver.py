@@ -233,7 +233,7 @@ def test_keep_traces_records_every_step():
         sum(t.newton_iters for t in run.traces))
 
 
-# -- the fused stage solve ----------------------------------------------------
+# -- the fused, warm-started stage solve ----------------------------------------
 
 _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
 
@@ -253,13 +253,17 @@ def _counted(p):
                          if getattr(p, cb) is not None}), calls
 
 
-def _predictor_stage(p, steps=200):
-    """(a, rhs, w_start) of the last predictor stage of the first step."""
+def _start(p, w):
     from hbpc.core import eval_bundle
 
+    return StageSource(w, eval_bundle(p, w))
+
+
+def _predictor_stage(p, steps=200):
+    """(a, rhs, start) of the last predictor stage of the first step."""
     a = p.t_end / steps
-    f0 = eval_bundle(p, p.w0)
-    return a, p.w0 + a * f0.phi_e + 0.5 * a * a * f0.dphi_e, p.w0.copy()
+    start = _start(p, p.w0.copy())
+    return a, p.w0 + a * start.f.phi_e + 0.5 * a * a * start.f.dphi_e, start
 
 
 def _fd_problem():
@@ -268,21 +272,84 @@ def _fd_problem():
                         w0=base.w0, t_end=base.t_end, name="fd_van_der_pol")
 
 
+def _problem(name):
+    return _fd_problem() if name == "fd" else make(name)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_stage_solve_evaluates_each_newton_state_once(name, monkeypatch):
+    # The start state's fluxes come from its bundle, so only the states
+    # Newton moves to call the fluxes; Phi_I' at the start is needed once,
+    # for the first Newton matrix.
     import hbpc.solver as solver_mod
 
     def no_bundle(*args):
         raise AssertionError("the stage solve must not call eval_bundle")
 
-    a, rhs, w_start = _predictor_stage(make(name))
+    a, rhs, start = _predictor_stage(make(name))
     p, calls = _counted(make(name))
     monkeypatch.setattr(solver_mod, "eval_bundle", no_bundle)
-    _, _, res = solver_mod._solve_stage(p, a, rhs, w_start, NewtonConfig())
+    _, _, res = solver_mod._solve_stage(p, a, rhs, start, NewtonConfig())
     assert res.iters >= 1
-    assert calls == {"phi_e": 1 + res.iters, "phi_i": 1 + res.iters,
-                     "jac_i": 1 + res.iters, "jac_e": 1,
+    assert calls == {"phi_e": res.iters, "phi_i": res.iters,
+                     "jac_i": res.iters + 1, "jac_e": 1,
                      "dphi_i_jac": res.iters}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
+def test_stage_solve_converged_at_start_calls_nothing(name):
+    from hbpc.solver import _solve_stage
+
+    p = _problem(name)
+    a = p.t_end / 200
+    start = _start(p, p.w0.copy())
+    rhs = start.w - a * start.f.phi_i + 0.5 * a * a * start.f.dphi_i
+    counted, calls = _counted(p)
+    w, f, res = _solve_stage(counted, a, rhs, start, NewtonConfig())
+    assert res.iters == 0
+    assert w is start.w and f is start.f
+    assert calls == dict.fromkeys(_CALLBACKS, 0)
+
+
+def _plain_newton(p, a, rhs, w0):
+    """The stage solve with every callback evaluated at every state, the
+    start included: the reference the warm start must reproduce bitwise."""
+    from hbpc.core import fd_jacobian
+    from hbpc.newton import solve
+
+    half_a2 = 0.5 * a * a
+
+    def F(w):
+        with np.errstate(all="ignore"):
+            fi = p.phi_i(w)
+            di = p.jac_i(w) @ (p.phi_e(w) + p.phi_i(w))
+            return w - a * fi + half_a2 * di - rhs
+
+    def J(w):
+        if p.dphi_i_jac is None:
+            return fd_jacobian(F, w)
+        return np.eye(p.dim) - a * p.jac_i(w) + half_a2 * p.dphi_i_jac(w)
+
+    return solve(F, J, w0.copy(), NewtonConfig())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
+def test_warm_stage_solve_equals_cold_solve_bitwise(name):
+    from hbpc.solver import _solve_stage
+
+    p = _problem(name)
+    a, rhs, start = _predictor_stage(p)
+    cold_start = _start(p, start.w.copy())
+    warm = _solve_stage(p, a, rhs, start, NewtonConfig())
+    cold = _solve_stage(p, a, rhs, cold_start, NewtonConfig())
+    plain = _plain_newton(p, a, rhs, start.w)
+    assert warm[2].iters == cold[2].iters == plain.iters >= 1
+    assert warm[2].residual_history == cold[2].residual_history
+    assert warm[2].residual_history == plain.residual_history
+    for w in (cold[0], plain.w):
+        assert warm[0].tobytes() == w.tobytes()
+    for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
+        assert getattr(warm[1], field).tobytes() == getattr(cold[1], field).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
@@ -290,9 +357,9 @@ def test_stage_solve_bundle_is_eval_bundle_bitwise(name):
     from hbpc.core import eval_bundle
     from hbpc.solver import _solve_stage
 
-    p = _fd_problem() if name == "fd" else make(name)
-    a, rhs, w_start = _predictor_stage(p)
-    w, f, res = _solve_stage(p, a, rhs, w_start, NewtonConfig())
+    p = _problem(name)
+    a, rhs, start = _predictor_stage(p)
+    w, f, res = _solve_stage(p, a, rhs, start, NewtonConfig())
     assert res.iters >= 1
     ref = eval_bundle(p, w)
     for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
@@ -324,14 +391,17 @@ def test_stage_solve_bundle_follows_the_returned_state(monkeypatch):
 def test_stage_solve_flags_nonfinite_at_the_solved_state(bad):
     # phi_e is finite only at the start state, so NaN first shows at the
     # states Newton moves to; jac_e is NaN everywhere, but only the converged
-    # bundle (dPhi_E) ever evaluates it.
+    # bundle (dPhi_E) ever evaluates it. The start bundle comes from the
+    # unbroken problem, which agrees with the broken one at the start state
+    # in every field the stage solve reads.
     from hbpc.core import NonFiniteError
     from hbpc.solver import _solve_stage
 
     p = _pure_implicit_decay()
+    start = _start(p, np.ones(1))
     if bad == "phi_e":
         p = replace(p, phi_e=lambda w: np.full(1, 0.0 if w[0] == 1.0 else np.nan))
     else:
         p = replace(p, jac_e=lambda w: np.full((1, 1), np.nan))
     with pytest.raises(NonFiniteError):
-        _solve_stage(p, 0.1, np.ones(1), np.ones(1), NewtonConfig())
+        _solve_stage(p, 0.1, np.ones(1), start, NewtonConfig())
