@@ -64,10 +64,12 @@ def _lu_solve_checked(J: Array, rhs: Array) -> Array:
     Calls the LAPACK routines behind ``scipy.linalg.lu_factor``/``lu_solve``
     directly: bitwise the same result, without the wrappers, which cost more
     than factoring a d <= 4 system. An exactly singular J (dgetrf info > 0)
-    leaves a zero pivot, which the floor check catches.
+    leaves a zero pivot, which the floor check catches. A NaN pivot never
+    trips the floor, as under ``abs(diag).min()``, which propagates NaN.
     """
     lu, piv, _ = dgetrf(J)
-    if abs(lu.diagonal()).min() < _PIVOT_FLOOR:
+    diag = lu.diagonal().tolist()
+    if min(map(abs, diag)) < _PIVOT_FLOOR and not any(map(math.isnan, diag)):
         raise SingularJacobianError("LU pivot below 1e-300")
     return dgetrs(lu, piv, rhs)[0]
 
@@ -87,12 +89,16 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
     is returned when no iteration runs; Newton never updates a state in place.
     Raises SingularJacobianError on a degenerate linearization and
     NonFiniteError if the residual or the Jacobian holds NaN/Inf.
+
+    A residual's entries are checked only when its 2-norm is not finite: a
+    finite norm implies finite entries, and a finite residual whose norm
+    overflows to inf still passes, exactly as an entry-wise check decides.
     """
     w = np.asarray(w0, dtype=float)
     r = np.asarray(F(w), dtype=float)
-    if not np.isfinite(r).all():
-        raise NonFiniteError("non-finite residual at the Newton starting point")
     rnorm = _norm(r)
+    if not math.isfinite(rnorm) and not np.isfinite(r).all():
+        raise NonFiniteError("non-finite residual at the Newton starting point")
     rnorm0 = rnorm
     history = [rnorm]
     dampings = []
@@ -108,9 +114,9 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
         delta = _lu_solve_checked(Jw, -r)
         w = w + theta * delta
         r = np.asarray(F(w), dtype=float)
-        if not np.isfinite(r).all():
-            raise NonFiniteError("non-finite residual in Newton iteration")
         new_norm = _norm(r)
+        if not math.isfinite(new_norm) and not np.isfinite(r).all():
+            raise NonFiniteError("non-finite residual in Newton iteration")
         if new_norm > cfg.growth_threshold * rnorm:
             theta *= cfg.damping_factor
         dampings.append(theta)

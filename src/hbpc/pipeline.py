@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SplitProblem, eval_bundle
-from .solver import (RunResult, SolverConfig, StageSource, _resolve_reference,
+from .solver import (RunResult, SolverConfig, StageSource, _iterate_errors,
                      correction_block, predictor_block)
 from .tableaux import builtin
 
@@ -357,12 +357,9 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
         if st.updates is not None:
             updates = st.updates
 
-    ref = _resolve_reference(p, reference)
-    errors = None
-    if ref is not None:
-        errors = np.array([float(np.linalg.norm(w - ref)) for w in final_last])
     return RunResult(config=cfg, t_end=p.t_end, updates=updates,
-                     final_last_w=final_last, errors=errors,
+                     final_last_w=final_last,
+                     errors=_iterate_errors(p, reference, final_last),
                      newton_per_iterate=newton_per_iterate,
                      iter_cap_hits=cap_hits, wallclock=wallclock)
 

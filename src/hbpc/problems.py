@@ -125,16 +125,17 @@ _ARENSTORF_PERIOD = 17.065216560159
 
 
 def _gravity(u: float, y: float):
-    """G = d/d(x,y) of (u, y)/r^3 for r^2 = u^2 + y^2."""
+    """Entries (P, Q, R) of G = [[P, Q], [Q, R]] = d/d(x,y) of (u, y)/r^3 for
+    r^2 = u^2 + y^2."""
     r2 = u * u + y * y
     r3 = r2 ** -1.5
     r5 = r2 ** -2.5
-    return np.array([[r3 - 3.0 * u * u * r5, -3.0 * u * y * r5],
-                     [-3.0 * u * y * r5, r3 - 3.0 * y * y * r5]])
+    return r3 - 3.0 * u * u * r5, -3.0 * u * y * r5, r3 - 3.0 * y * y * r5
 
 
 def _gravity_derivs(u: float, y: float):
-    """dG/dx and dG/dy of the matrix G of ``_gravity``."""
+    """(dP/dx, dP/dy, dQ/dy, dR/dy) of the entries of ``_gravity``; dG/dx is
+    [[dP/dx, dP/dy], [dP/dy, dQ/dy]] and dG/dy is [[dP/dy, dQ/dy], [dQ/dy, dR/dy]]."""
     r2 = u * u + y * y
     r5 = r2 ** -2.5
     r7 = r2 ** -3.5
@@ -142,9 +143,48 @@ def _gravity_derivs(u: float, y: float):
     dP_dy = -3.0 * y * r5 + 15.0 * u * u * y * r7
     dQ_dy = -3.0 * u * r5 + 15.0 * u * y * y * r7
     dR_dy = -9.0 * y * r5 + 15.0 * y ** 3 * r7
-    dG_dx = np.array([[dP_dx, dP_dy], [dP_dy, dQ_dy]])
-    dG_dy = np.array([[dP_dy, dQ_dy], [dQ_dy, dR_dy]])
-    return dG_dx, dG_dy
+    return dP_dx, dP_dy, dQ_dy, dR_dy
+
+
+def _accel(x, y):
+    """Gravitational acceleration (ax, ay) at the position (x, y)."""
+    d1 = ((x + _MU) ** 2 + y ** 2) ** 1.5
+    d2 = ((x - _MU_P) ** 2 + y ** 2) ** 1.5
+    ax = -_MU_P * (x + _MU) / d1 - _MU * (x - _MU_P) / d2
+    ay = -_MU_P * y / d1 - _MU * y / d2
+    return ax, ay
+
+
+def _accel_jac(x, y):
+    """Entries (a, b, c) of A = d(ax, ay)/d(x, y) = [[a, b], [b, c]] =
+    -mu' G1 - mu G2, with G1, G2 the gravity matrices of the two bodies."""
+    P1, Q1, R1 = _gravity(x + _MU, y)
+    P2, Q2, R2 = _gravity(x - _MU_P, y)
+    return (-_MU_P * P1 - _MU * P2, -_MU_P * Q1 - _MU * Q2,
+            -_MU_P * R1 - _MU * R2)
+
+
+def _accel_jac_derivs(x, y):
+    """The four distinct entries of dA/dx and dA/dy, as ``_gravity_derivs``."""
+    g1 = _gravity_derivs(x + _MU, y)
+    g2 = _gravity_derivs(x - _MU_P, y)
+    return (-_MU_P * g1[0] - _MU * g2[0], -_MU_P * g1[1] - _MU * g2[1],
+            -_MU_P * g1[2] - _MU * g2[2], -_MU_P * g1[3] - _MU * g2[3])
+
+
+def _at_position(fn, w):
+    """``fn(x, y)`` at the position of ``w``, computed on Python floats.
+
+    Python float ``**`` and ``/`` raise where IEEE arithmetic overflows or
+    divides by zero (a Newton iterate far off the orbit, a state on a body);
+    there ``fn`` runs again on numpy float64 scalars, which give the IEEE
+    inf/NaN that the solver's finiteness checks turn into NonFiniteError.
+    """
+    x, y = w.tolist()[:2]
+    try:
+        return fn(x, y)
+    except (OverflowError, ZeroDivisionError):
+        return fn(w[0], w[1])
 
 
 def arenstorf() -> SplitProblem:
@@ -153,20 +193,24 @@ def arenstorf() -> SplitProblem:
 
     State is (x, y, x', y'); the 1/D gravitational terms are implicit, the
     rotation/velocity terms explicit. The state at t_end is w0 again.
+
+    The callbacks compute on Python floats read once from the state, since
+    numpy's per-call overhead on scalar entries costs more than their
+    arithmetic, and build each result with one ``np.array`` call. The
+    expressions are the ones numpy float64 scalars would evaluate, in the same
+    order, so the results are bitwise those: both call libm ``pow`` for
+    ``**``. What must stay numpy is kept numpy: the two 2 x 2 products
+    dA/dx @ (x', y') and dA/dy @ (x', y') (their summation is BLAS's), and the
+    fallback to float64 scalars where Python raises instead of returning
+    inf/NaN (``_at_position``).
     """
 
-    def _dists(w):
-        d1 = ((w[0] + _MU) ** 2 + w[1] ** 2) ** 1.5
-        d2 = ((w[0] - _MU_P) ** 2 + w[1] ** 2) ** 1.5
-        return d1, d2
-
     def phi_e(w):
-        return np.array([w[2], w[3], w[0] + 2.0 * w[3], w[1] - 2.0 * w[2]])
+        x, y, u, v = w.tolist()
+        return np.array([u, v, x + 2.0 * v, y - 2.0 * u])
 
     def phi_i(w):
-        d1, d2 = _dists(w)
-        ax = -_MU_P * (w[0] + _MU) / d1 - _MU * (w[0] - _MU_P) / d2
-        ay = -_MU_P * w[1] / d1 - _MU * w[1] / d2
+        ax, ay = _at_position(_accel, w)
         return np.array([0.0, 0.0, ax, ay])
 
     jac_e_mat = np.array([[0.0, 0.0, 1.0, 0.0],
@@ -177,10 +221,6 @@ def arenstorf() -> SplitProblem:
     def jac_e(w):
         return jac_e_mat
 
-    def _accel_jac(w):
-        # A = d(ax, ay)/d(x, y); jac_i needs only this, not its derivatives
-        return -_MU_P * _gravity(w[0] + _MU, w[1]) - _MU * _gravity(w[0] - _MU_P, w[1])
-
     # (w, A) of the last jac_i call: a Newton matrix asks for jac_i and then
     # dphi_i_jac at the same state object. Replaced as one tuple, so a thread
     # reading it sees a matching pair; keyed by identity, since the solver
@@ -189,29 +229,29 @@ def arenstorf() -> SplitProblem:
 
     def jac_i(w):
         nonlocal accel_memo
-        A = _accel_jac(w)
+        A = _at_position(_accel_jac, w)
         accel_memo = (w, A)
-        J = np.zeros((4, 4))
-        J[2:, :2] = A
-        return J
+        a, b, c = A
+        return np.array([[0.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0],
+                         [a, b, 0.0, 0.0],
+                         [b, c, 0.0, 0.0]])
 
     def dphi_i_jac(w):
         # rows 3,4 of Phi_I' Phi equal A @ (w3, w4); differentiate in all four
         # coordinates (A depends on x, y only)
         w_memo, A = accel_memo
         if w_memo is not w:
-            A = _accel_jac(w)
-        dG1_dx, dG1_dy = _gravity_derivs(w[0] + _MU, w[1])
-        dG2_dx, dG2_dy = _gravity_derivs(w[0] - _MU_P, w[1])
-        dA_dx = -_MU_P * dG1_dx - _MU * dG2_dx
-        dA_dy = -_MU_P * dG1_dy - _MU * dG2_dy
+            A = _at_position(_accel_jac, w)
+        a, b, c = A
+        e1, e2, e3, e4 = _at_position(_accel_jac_derivs, w)
         v = w[2:]
-        M = np.zeros((4, 4))
-        M[2:, 0] = dA_dx @ v
-        M[2:, 1] = dA_dy @ v
-        M[2:, 2] = A[:, 0]
-        M[2:, 3] = A[:, 1]
-        return M
+        gx = (np.array([[e1, e2], [e2, e3]]) @ v).tolist()
+        gy = (np.array([[e2, e3], [e3, e4]]) @ v).tolist()
+        return np.array([[0.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0],
+                         [gx[0], gy[0], a, b],
+                         [gx[1], gy[1], b, c]])
 
     return SplitProblem(dim=4, phi_e=phi_e, phi_i=phi_i,
                         w0=_ARENSTORF_W0.copy(), t_end=_ARENSTORF_PERIOD,

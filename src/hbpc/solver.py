@@ -164,7 +164,9 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     gives at the solved state. The evaluation lives in this call, so
     concurrent solves share nothing. The residual Jacobian is assembled
     analytically when the problem carries d(dPhi_I)/dw, otherwise by finite
-    differences of the residual map.
+    differences of the residual map. Callers run it under
+    ``np.errstate(all="ignore")``, once per block: overflow shows up as the
+    NaN/Inf that Newton and the bundle check turn into NonFiniteError.
     """
     half_a2 = 0.5 * a * a
     # (w, Phi_E, Phi_I, Phi, Phi_I', dPhi_I) at the last state past the start
@@ -192,14 +194,13 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
         def J(w):
             return fd_jacobian(F, w)
 
-    with np.errstate(all="ignore"):
-        res = _newton.solve(F, J, start.w, ncfg)
-        if res.w is start.w:
-            return start.w, start.f, res
-        if last[0] is not res.w:  # never, while newton.solve keeps its contract
-            F(res.w)
-        w, fe, fi, ftot, _, di = last
-        de = p.jac_e(w) @ ftot
+    res = _newton.solve(F, J, start.w, ncfg)
+    if res.w is start.w:
+        return start.w, start.f, res
+    if last[0] is not res.w:  # never, while newton.solve keeps its contract
+        F(res.w)
+    w, fe, fi, ftot, _, di = last
+    de = p.jac_e(w) @ ftot
     if not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
     return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
@@ -214,18 +215,17 @@ def seed(p: SplitProblem, cfg: SolverConfig) -> IterateGrid:
 
 
 def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
-                 red: StageSource, blue_w, blue_f, quad_f, ncfg: NewtonConfig,
-                 start: str):
+                 red: StageSource, blue_w, blue_f, phis: Array, dphis: Array,
+                 ncfg: NewtonConfig, start: str):
     """One corrected stage: red constant + implicit difference + quadrature.
 
     ``blue_w``/``blue_f`` are the previous iterate's stage states and bundles
-    at this step; ``quad_f`` lists the s bundles feeding the quadrature (equal
-    to ``blue_f`` for a Jacobi sweep, partially refreshed for Gauss-Seidel).
+    at this step; the (s, d) arrays ``phis``/``dphis`` hold the Phi and dPhi
+    rows feeding the quadrature (those of ``blue_f`` for a Jacobi sweep,
+    partially refreshed for Gauss-Seidel).
     """
     if l == 0:
         return red.w, red.f, _copy_result(red.w)
-    phis = [b.phi for b in quad_f]
-    dphis = [b.dphi for b in quad_f]
     i_l = quadrature(tab, l, dt, phis, dphis)
     rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
     src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
@@ -241,31 +241,42 @@ def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
           + (c_l dt)^2/2 (dPhi_E(w_src) - dPhi_I(w)); stage 0 copies the source.
     """
     ws, fs, results = [], [], []
-    for l in range(tab.s):
-        if l == 0:
-            w, f, res = src.w, src.f, _copy_result(src.w)
-        else:
-            a = tab.c[l] * dt
-            rhs = src.w + a * src.f.phi_e + 0.5 * a * a * src.f.dphi_e
-            w, f, res = _solve_stage(p, a, rhs, src, ncfg)
-        ws.append(w)
-        fs.append(f)
-        results.append(res)
+    with np.errstate(all="ignore"):
+        for l in range(tab.s):
+            if l == 0:
+                w, f, res = src.w, src.f, _copy_result(src.w)
+            else:
+                a = tab.c[l] * dt
+                rhs = src.w + a * src.f.phi_e + 0.5 * a * a * src.f.dphi_e
+                w, f, res = _solve_stage(p, a, rhs, src, ncfg)
+            ws.append(w)
+            fs.append(f)
+            results.append(res)
     return ws, fs, results
 
 
 def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                      red: StageSource, blue_w, blue_f, gauss_seidel: bool,
                      ncfg: NewtonConfig, start: str):
-    """One full correction sweep over the stages; returns (states, bundles, results)."""
+    """One full correction sweep over the stages; returns (states, bundles, results).
+
+    The quadrature reads one (s, d) stack of the blue Phi and dPhi, built once
+    per sweep; a Gauss-Seidel sweep overwrites row l with the fresh fluxes of
+    stage l as soon as it is solved, so later stages see them.
+    """
+    phis = np.array([b.phi for b in blue_f])
+    dphis = np.array([b.dphi for b in blue_f])
     ws, fs, results = [], [], []
-    for l in range(tab.s):
-        quad_f = fs[:l] + list(blue_f[l:]) if gauss_seidel else blue_f
-        w, f, res = _correct_one(p, tab, dt, l, red, blue_w, blue_f, quad_f,
-                                 ncfg, start)
-        ws.append(w)
-        fs.append(f)
-        results.append(res)
+    with np.errstate(all="ignore"):
+        for l in range(tab.s):
+            w, f, res = _correct_one(p, tab, dt, l, red, blue_w, blue_f, phis,
+                                     dphis, ncfg, start)
+            if gauss_seidel:
+                phis[l] = f.phi
+                dphis[l] = f.dphi
+            ws.append(w)
+            fs.append(f)
+            results.append(res)
     return ws, fs, results
 
 
@@ -309,14 +320,18 @@ def advance(p: SplitProblem, tab: TwoDerivativeTableau, grid: IterateGrid,
     return w_next, trace
 
 
-def _resolve_reference(p: SplitProblem, reference):
+def _iterate_errors(p: SplitProblem, reference, final_last) -> Array | None:
+    """2-norm error of each final-stage state against ``reference``, else the
+    problem's exact solution or known end state; None without any."""
     if reference is not None:
-        return np.asarray(reference, dtype=float)
-    if p.exact is not None:
-        return np.asarray(p.exact(p.t_end), dtype=float)
-    if p.ref_t_end is not None:
-        return p.ref_t_end
-    return None
+        ref = np.asarray(reference, dtype=float)
+    elif p.exact is not None:
+        ref = np.asarray(p.exact(p.t_end), dtype=float)
+    elif p.ref_t_end is not None:
+        ref = p.ref_t_end
+    else:
+        return None
+    return np.array([float(np.linalg.norm(w - ref)) for w in final_last])
 
 
 def integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
@@ -350,12 +365,9 @@ def integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
             final_last = trace.last_stage_w
     wallclock = time.perf_counter() - t0
 
-    ref = _resolve_reference(p, reference)
-    errors = None
-    if ref is not None:
-        errors = np.array([float(np.linalg.norm(w - ref)) for w in final_last])
     return RunResult(config=cfg, t_end=p.t_end, updates=updates,
-                     final_last_w=final_last, errors=errors,
+                     final_last_w=final_last,
+                     errors=_iterate_errors(p, reference, final_last),
                      newton_per_iterate=newton_per_iterate,
                      iter_cap_hits=cap_hits, wallclock=wallclock, traces=traces)
 
@@ -407,10 +419,8 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
                 last_stage_w=[w], sweeps=sweep))
     wallclock = time.perf_counter() - t0
 
-    ref = _resolve_reference(p, reference)
-    errors = None if ref is None else np.array([float(np.linalg.norm(w - ref))])
     return RunResult(config=cfg, t_end=p.t_end, updates=updates,
-                     final_last_w=[w], errors=errors,
+                     final_last_w=[w], errors=_iterate_errors(p, reference, [w]),
                      newton_per_iterate=np.array([total_iters]),
                      iter_cap_hits=cap_hits, wallclock=wallclock,
                      traces=traces, sweeps_per_step=sweeps_per_step)

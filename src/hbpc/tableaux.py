@@ -71,8 +71,8 @@ def builtin(q: int) -> TwoDerivativeTableau:
 def quadrature(tab: TwoDerivativeTableau, l: int, dt: float, phis, dphis) -> Array:
     """Stage-l quadrature  dt * sum_j b1[l,j] phis[j] + dt^2 * sum_j b2[l,j] dphis[j].
 
-    ``phis``/``dphis`` are sequences of s state-shaped vectors (flux values and
-    flux derivatives at the stage states). Exact for polynomial integrands up
+    ``phis``/``dphis`` are (s, d) arrays, or sequences of s state-shaped
+    vectors, of flux values and flux derivatives at the stage states. Exact for polynomial integrands up
     to degree q - 1 over [0, c_l * dt].
     """
     if not 0 <= l < tab.s:

@@ -155,3 +155,83 @@ def test_solve_starts_from_w0_itself_and_never_mutates_it():
     res = solve(F, J, w0)
     assert res.iters == 1 and seen[1] is w0 and res.w is not w0
     assert w0[0] == 1.0 and res.w[0] == 2.0
+
+
+_START_MSG = "non-finite residual at the Newton starting point"
+_ITER_MSG = "non-finite residual in Newton iteration"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["start", "iteration"])
+def test_nonfinite_residual_message_names_where(bad, where):
+    # The entry-wise check runs only behind a non-finite norm; its verdicts
+    # and messages are those of checking every residual entry-wise.
+    def F(w):
+        if where == "start" or w[0] != 0.0:
+            return np.array([1.0, bad])
+        return np.array([1.0, 1.0])
+
+    J = lambda w: np.eye(2)
+    msg = _START_MSG if where == "start" else _ITER_MSG
+    with pytest.raises(NonFiniteError, match=f"^{msg}$"):
+        solve(F, J, np.zeros(2))
+
+
+def test_finite_residual_with_overflowing_norm_does_not_raise():
+    # Entries near 1e200 are finite though their 2-norm overflows to inf.
+    F, J = _linear([[1.0, 0.0], [0.0, 2.0]], [1e200, -3e200])
+    with np.errstate(over="ignore"):
+        res = solve(F, J, np.zeros(2))
+    assert res.residual_history[0] == np.inf
+    assert res.iters == 1 and res.converged_by == "absolute"
+    assert res.w.tolist() == [1e200, -1.5e200]
+
+
+def _pivot_floor_verdict(J):
+    """Today's pivot test on the LU of J: abs(diag).min() < 1e-300, where
+    np.min propagates NaN, so a NaN pivot never trips it."""
+    from scipy.linalg.lapack import dgetrf
+
+    lu, _, _ = dgetrf(J)
+    return bool(abs(lu.diagonal()).min() < 1e-300)
+
+
+@pytest.mark.parametrize("J, raises", [
+    ([[np.nan, 1.0], [1.0, 1.0]], False),
+    ([[np.nan, np.nan], [np.nan, np.nan]], False),
+    ([[0.0, 0.0], [0.0, np.nan]], False),  # a NaN pivot beside a zero one
+    ([[1e-300, 0.0], [0.0, 1.0]], False),  # exactly the floor: not below it
+    ([[np.nextafter(1e-300, 0.0), 0.0], [0.0, 1.0]], True),
+    ([[1.0, 0.0], [0.0, -np.nextafter(1e-300, 0.0)]], True),
+    ([[np.inf, 0.0], [0.0, 0.0]], True),
+], ids=["nan", "all_nan", "nan_beside_zero", "at_floor", "below_floor",
+        "negative_below_floor", "inf_beside_zero"])
+def test_lu_pivot_floor_keeps_its_verdict(J, raises):
+    from hbpc.newton import _lu_solve_checked
+
+    J = np.array(J)
+    assert _pivot_floor_verdict(J) == raises
+    if raises:
+        with pytest.raises(SingularJacobianError):
+            _lu_solve_checked(J, np.ones(2))
+    else:
+        with np.errstate(all="ignore"):
+            _lu_solve_checked(J, np.ones(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_lu_pivot_floor_matches_min_of_abs_diagonal(d, data):
+    from hbpc.newton import _lu_solve_checked
+
+    entry = st.sampled_from([0.0, -0.0, 1e-301, 1e-300, -1e-300, 1.0, -2.0,
+                             np.nan, np.inf, -np.inf])
+    J = np.array(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                    min_size=d, max_size=d)))
+    try:
+        with np.errstate(all="ignore"):
+            _lu_solve_checked(J, np.ones(d))
+        raised = False
+    except SingularJacobianError:
+        raised = True
+    assert raised == _pivot_floor_verdict(J)

@@ -174,3 +174,119 @@ def test_arenstorf_gravity_memo_under_thread_switching():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def _numpy_scalar_arenstorf():
+    """The Arenstorf callbacks as numpy float64-scalar and 2 x 2 array
+    formulas, without the gravity memo: the reference the float-math
+    callbacks must reproduce bit for bit."""
+    mu = 0.012277471
+    mu_p = 1.0 - mu
+
+    def gravity(u, y):
+        r2 = u * u + y * y
+        r3 = r2 ** -1.5
+        r5 = r2 ** -2.5
+        return np.array([[r3 - 3.0 * u * u * r5, -3.0 * u * y * r5],
+                         [-3.0 * u * y * r5, r3 - 3.0 * y * y * r5]])
+
+    def gravity_derivs(u, y):
+        r2 = u * u + y * y
+        r5 = r2 ** -2.5
+        r7 = r2 ** -3.5
+        dP_dx = -9.0 * u * r5 + 15.0 * u ** 3 * r7
+        dP_dy = -3.0 * y * r5 + 15.0 * u * u * y * r7
+        dQ_dy = -3.0 * u * r5 + 15.0 * u * y * y * r7
+        dR_dy = -9.0 * y * r5 + 15.0 * y ** 3 * r7
+        return (np.array([[dP_dx, dP_dy], [dP_dy, dQ_dy]]),
+                np.array([[dP_dy, dQ_dy], [dQ_dy, dR_dy]]))
+
+    def accel_jac(w):
+        return -mu_p * gravity(w[0] + mu, w[1]) - mu * gravity(w[0] - mu_p, w[1])
+
+    def phi_e(w):
+        return np.array([w[2], w[3], w[0] + 2.0 * w[3], w[1] - 2.0 * w[2]])
+
+    def phi_i(w):
+        d1 = ((w[0] + mu) ** 2 + w[1] ** 2) ** 1.5
+        d2 = ((w[0] - mu_p) ** 2 + w[1] ** 2) ** 1.5
+        ax = -mu_p * (w[0] + mu) / d1 - mu * (w[0] - mu_p) / d2
+        ay = -mu_p * w[1] / d1 - mu * w[1] / d2
+        return np.array([0.0, 0.0, ax, ay])
+
+    def jac_e(w):
+        return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0, 2.0], [0.0, 1.0, -2.0, 0.0]])
+
+    def jac_i(w):
+        J = np.zeros((4, 4))
+        J[2:, :2] = accel_jac(w)
+        return J
+
+    def dphi_i_jac(w):
+        A = accel_jac(w)
+        dG1_dx, dG1_dy = gravity_derivs(w[0] + mu, w[1])
+        dG2_dx, dG2_dy = gravity_derivs(w[0] - mu_p, w[1])
+        dA_dx = -mu_p * dG1_dx - mu * dG2_dx
+        dA_dy = -mu_p * dG1_dy - mu * dG2_dy
+        v = w[2:]
+        M = np.zeros((4, 4))
+        M[2:, 0] = dA_dx @ v
+        M[2:, 1] = dA_dy @ v
+        M[2:, 2] = A[:, 0]
+        M[2:, 3] = A[:, 1]
+        return M
+
+    return {"phi_e": phi_e, "phi_i": phi_i, "jac_e": jac_e, "jac_i": jac_i,
+            "dphi_i_jac": dphi_i_jac}
+
+
+# Positions near the orbit and the two bodies, plus values far enough out
+# that Python float ``**`` and ``/`` raise (overflow, a state on a body).
+_COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.012277471, 0.987722529]),
+                   st.floats(-1e300, 1e300), st.floats(-1e-150, 1e-150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COORD, min_size=4, max_size=4),
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_arenstorf_callbacks_equal_numpy_scalar_formulas_bitwise(coords, other):
+    ref = _numpy_scalar_arenstorf()
+    w = np.array(coords)
+    w_other = np.array(other)
+    with np.errstate(all="ignore"):
+        p = arenstorf()
+        # dphi_i_jac first on a fresh instance: no jac_i before it
+        assert p.dphi_i_jac(w).tobytes() == ref["dphi_i_jac"](w).tobytes()
+        for cb in ("phi_e", "phi_i", "jac_e", "jac_i"):
+            assert getattr(p, cb)(w).tobytes() == ref[cb](w).tobytes(), cb
+        # after jac_i at this state, and after jac_i at a different one
+        assert p.dphi_i_jac(w).tobytes() == ref["dphi_i_jac"](w).tobytes()
+        p.jac_i(w_other)
+        assert p.dphi_i_jac(w).tobytes() == ref["dphi_i_jac"](w).tobytes()
+
+
+@pytest.mark.parametrize("w", [
+    [0.987722529, 0.0, 0.3, -0.2],    # on the second body: r = 0
+    [-0.012277471, 0.0, 0.3, -0.2],   # on the first body
+    [0.987722529, 1e-100, 1.0, 1.0],  # r^-2.5 overflows
+    [1e160, 1.0, 2.0, 3.0],           # squares overflow
+], ids=["body2", "body1", "tiny_r", "huge"])
+def test_arenstorf_callbacks_match_numpy_where_python_floats_raise(w):
+    # Python float ``**`` and ``/`` raise at these states; the callbacks
+    # fall back to float64 scalars and return numpy's IEEE inf/NaN/0.
+    from hbpc import problems
+
+    ref = _numpy_scalar_arenstorf()
+    w = np.array(w)
+    raised = 0
+    for fn in (problems._accel, problems._accel_jac, problems._accel_jac_derivs):
+        try:
+            fn(*w.tolist()[:2])
+        except (OverflowError, ZeroDivisionError):
+            raised += 1
+    assert raised
+    with np.errstate(all="ignore"):
+        p = arenstorf()
+        for cb in ("phi_i", "jac_i", "dphi_i_jac"):
+            assert getattr(p, cb)(w).tobytes() == ref[cb](w).tobytes(), cb

@@ -405,3 +405,54 @@ def test_stage_solve_flags_nonfinite_at_the_solved_state(bad):
         p = replace(p, jac_e=lambda w: np.full((1, 1), np.nan))
     with pytest.raises(NonFiniteError):
         _solve_stage(p, 0.1, np.ones(1), start, NewtonConfig())
+
+
+def _sweep_restacking_per_stage(p, tab, dt, red, blue_w, blue_f, gauss_seidel,
+                                start):
+    """A correction sweep that stacks the quadrature's fluxes afresh for
+    every stage from ``fs[:l] + blue_f[l:]``: the reference for the one
+    stack per sweep that ``correction_block`` updates row by row."""
+    from hbpc.solver import _solve_stage
+    from hbpc.tableaux import quadrature
+
+    ws, fs, histories = [red.w], [red.f], [[]]
+    for l in range(1, tab.s):
+        quad_f = fs[:l] + list(blue_f[l:]) if gauss_seidel else blue_f
+        i_l = quadrature(tab, l, dt, [b.phi for b in quad_f],
+                         [b.dphi for b in quad_f])
+        rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
+        src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
+        with np.errstate(all="ignore"):
+            w, f, res = _solve_stage(p, dt, rhs, src, NewtonConfig())
+        ws.append(w)
+        fs.append(f)
+        histories.append(res.residual_history)
+    return ws, fs, histories
+
+
+@pytest.mark.parametrize("gauss_seidel", [True, False], ids=["gauss_seidel", "jacobi"])
+@pytest.mark.parametrize("start", ["hierarchical", "red"])
+@pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
+def test_correction_sweep_equals_restacking_per_stage_bitwise(name, start,
+                                                              gauss_seidel):
+    from hbpc.solver import correction_block, predictor_block
+
+    p = _problem(name)
+    tab = builtin(8)
+    dt = p.t_end / 40
+    src = _start(p, p.w0.copy())
+    blue_w, blue_f, _ = predictor_block(p, tab, dt, src, NewtonConfig())
+    for _ in range(2):  # the second sweep starts from corrected stages
+        ws, fs, results = correction_block(p, tab, dt, src, blue_w, blue_f,
+                                           gauss_seidel, NewtonConfig(), start)
+        ref_ws, ref_fs, ref_hist = _sweep_restacking_per_stage(
+            p, tab, dt, src, blue_w, blue_f, gauss_seidel, start)
+        assert sum(r.iters for r in results) >= 1
+        for l in range(tab.s):
+            assert ws[l].tobytes() == ref_ws[l].tobytes()
+            for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
+                assert (getattr(fs[l], field).tobytes()
+                        == getattr(ref_fs[l], field).tobytes()), field
+            if l:
+                assert results[l].residual_history == ref_hist[l]
+        blue_w, blue_f = ws, fs
