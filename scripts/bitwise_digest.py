@@ -20,7 +20,8 @@ Compare two checkouts by running this file against each one's sources:
     python3 scripts/bitwise_digest.py                      # this checkout
     python3 scripts/bitwise_digest.py --src OTHER/src      # another one
 
-``--verbose`` also prints one digest per case, to locate a difference.
+The total digest goes to stdout; one digest per case goes to stderr, to
+locate a difference.
 """
 
 import argparse
@@ -35,7 +36,6 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                     help="directory holding the hbpc package (default: this checkout's)")
-    ap.add_argument("--verbose", action="store_true", help="print a digest per case")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
@@ -58,8 +58,7 @@ def main() -> int:
                 h.update(a.tobytes())
         total.update(label.encode())
         total.update(h.digest())
-        if args.verbose:
-            print(f"{h.hexdigest()}  {label}")
+        print(f"{h.hexdigest()}  {label}", file=sys.stderr)
 
     def run_items(run):
         items = [run.updates, np.array(run.final_last_w),
@@ -95,8 +94,9 @@ def main() -> int:
                 digest(f"integrate {tag}", run_items(serial) + trace_items(serial))
                 par = integrate_parallel(p, cfg)
                 digest(f"integrate_parallel {tag}", run_items(par))
-                if any(a.tobytes() != b.tobytes()
-                       for a, b in zip(run_items(serial), run_items(par))):
+                a_items, b_items = run_items(serial), run_items(par)
+                if len(a_items) != len(b_items) or any(
+                        a.tobytes() != b.tobytes() for a, b in zip(a_items, b_items)):
                     mismatches.append(tag)
 
     # the limit sweep does not settle on the Arenstorf case at this step size
