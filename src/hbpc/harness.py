@@ -24,10 +24,11 @@ import numpy as np
 
 from .core import Array, SplitProblem, _as_state
 from .newton import NewtonConfig
-from .pipeline import integrate_parallel
+from .pipeline import WorkerAssignment, integrate_parallel
 from .problems import make
 from .solver import (CapExceededError, NoConvergenceError, RunResult,
-                     SolverConfig, adaptive_kmax, integrate, limit_integrate)
+                     SolverConfig, adaptive_kmax, integrate, known_reference,
+                     limit_integrate)
 
 ERROR_FLOOR = 1e-13
 REF_CACHE_ENV = "HBPC_REF_CACHE"
@@ -118,20 +119,15 @@ class LimitRow:
 
 
 def newton_partition(variant: str, kmax: int) -> list:
-    """Iterate indices grouped by the worker that owns them.
-
-    Mirrors the pipeline assignment: high-order variants pair iterates
-    {2p, 2p+1} when kmax is odd, the low-order variant runs one lane per
-    iterate, and the limit solver (or an unpipelineable even kmax) reports
-    a single total column.
-    """
+    """Iterate indices grouped by the pipeline worker that owns them
+    (``WorkerAssignment``); the limit solver, which reports one iterate, and
+    an unpipelineable even kmax give a single column."""
     if variant == "Limit":
-        return [[0]]
-    if variant == "LO":
-        return [[k] for k in range(kmax + 1)]
-    if kmax % 2 == 1:
-        return [[2 * p, 2 * p + 1] for p in range((kmax + 1) // 2)]
-    return [list(range(kmax + 1))]
+        variant, kmax = "serial", 0
+    elif variant != "LO" and kmax % 2 == 0:
+        variant = "serial"
+    asg = WorkerAssignment(variant=variant, kmax=kmax)
+    return [asg.iterates(w) for w in range(asg.n_workers)]
 
 
 def cache_key(problem: str, eps: Optional[float] = None,
@@ -176,12 +172,9 @@ def _study_problem(cfg: StudyConfig) -> SplitProblem:
 
 
 def resolve_reference(p: SplitProblem, cfg: StudyConfig) -> Optional[Array]:
-    if cfg.reference is not None:
-        return cfg.reference
-    if p.exact is not None:
-        return p.exact(p.t_end)
-    if p.ref_t_end is not None:
-        return p.ref_t_end
+    ref = known_reference(p, cfg.reference)
+    if ref is not None:
+        return ref
     if isinstance(cfg.problem, str):
         hit = load_reference(cache_key(cfg.problem, cfg.eps, cfg.alpha),
                              cfg.ref_cache)
@@ -217,12 +210,8 @@ def _run_one(p: SplitProblem, cfg: StudyConfig, n: int,
 
 def _row_from_run(cfg: StudyConfig, p: SplitProblem, n: int,
                   run: RunResult) -> ConvergenceRow:
-    groups = newton_partition(cfg.variant, cfg.kmax)
-    if cfg.variant == "Limit":
-        newton = (int(run.newton_per_iterate[0]),)
-    else:
-        newton = tuple(int(sum(run.newton_per_iterate[k] for k in g))
-                       for g in groups)
+    newton = tuple(int(sum(run.newton_per_iterate[k] for k in g))
+                   for g in newton_partition(cfg.variant, cfg.kmax))
     return ConvergenceRow(n=n, dt=p.t_end / n,
                           errs=tuple(float(e) for e in run.errors),
                           wallclock=run.wallclock if cfg.timing else 0.0,

@@ -1,4 +1,4 @@
-"""Serial predictor-corrector solvers built on two-derivative collocation.
+"""Predictor-corrector solvers built on two-derivative collocation.
 
 One timestep runs a second-order implicit Taylor predictor over the stages
 (iterate 0) followed by kmax correction sweeps. Each correction solves, per
@@ -16,6 +16,12 @@ last iterate (first-same-as-last). Four variants share this machinery:
 - ``Limit``: per step, Gauss-Seidel sweeps repeat until the stage values stop
   changing, realizing the limiting fully coupled Runge-Kutta method.
 
+The unit of work is a block, all stages of iterate k at step n; blocks and
+the inputs each reads (``dependencies``) form a DAG. ``run_blocks`` computes
+the blocks of some iterates in (step, iterate) order: ``integrate`` runs it
+over every iterate, each pipeline worker over its own. ``limit_integrate``
+keeps its own sweep loop: its red term and stopping rule are not the DAG's.
+
 Stage solves delegate to the damped Newton iteration; flux bundles are cached
 per stage and reused everywhere so a pipelined execution of the same blocks
 performs bit-identical floating-point work.
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,37 +85,27 @@ class StageSource:
     f: FluxBundle
 
 
-@dataclass
-class IterateGrid:
-    """Stage states and cached flux bundles for one step plus the snapshots
-    of the previous step's last stages that the next step will read."""
+@dataclass(frozen=True, order=True)
+class Block:
+    """One unit of work: all stages of iterate k at timestep n."""
 
-    s: int
-    kmax: int
-    prev_last: list  # [k] -> StageSource, previous step's last stage of iterate k
-    w: list = field(default_factory=list)  # [k][l] current-step stage states
-    f: list = field(default_factory=list)  # [k][l] current-step flux bundles
+    n: int
+    k: int
 
-    def __post_init__(self):
-        if not self.w:
-            self.clear_current()
 
-    def clear_current(self):
-        self.w = [[None] * self.s for _ in range(self.kmax + 1)]
-        self.f = [[None] * self.s for _ in range(self.kmax + 1)]
-
-    def predictor_source(self, variant: str) -> StageSource:
-        return self.prev_last[1] if variant == "Alg2" else self.prev_last[0]
-
-    def red_source(self, k_target: int, variant: str) -> StageSource:
-        if variant == "LO":
-            return self.prev_last[k_target]
-        return self.prev_last[min(k_target + 1, self.kmax)]
-
-    def rotate(self):
-        self.prev_last = [StageSource(self.w[k][-1], self.f[k][-1])
-                          for k in range(self.kmax + 1)]
-        self.clear_current()
+def dependencies(b: Block, variant: str, kmax: int) -> set:
+    """Blocks that must complete before b can run (seed needs drop out)."""
+    deps = set()
+    if b.k == 0:
+        src_k = 1 if variant == "Alg2" else 0
+        if b.n >= 1:
+            deps.add(Block(b.n - 1, src_k))
+        return deps
+    deps.add(Block(b.n, b.k - 1))
+    red_k = b.k if variant == "LO" else min(b.k + 1, kmax)
+    if b.n >= 1:
+        deps.add(Block(b.n - 1, red_k))
+    return deps
 
 
 @dataclass
@@ -206,14 +202,6 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
 
 
-def seed(p: SplitProblem, cfg: SolverConfig) -> IterateGrid:
-    """Fresh grid whose previous-step slots all hold the initial state."""
-    tab = builtin(cfg.q)
-    f0 = eval_bundle(p, p.w0)
-    prev = [StageSource(p.w0.copy(), f0) for _ in range(cfg.kmax + 1)]
-    return IterateGrid(s=tab.s, kmax=cfg.kmax, prev_last=prev)
-
-
 def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
                  red: StageSource, blue_w, blue_f, phis: Array, dphis: Array,
                  ncfg: NewtonConfig, start: str):
@@ -280,56 +268,112 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
     return ws, fs, results
 
 
-def _trace_from(grid: IterateGrid, iters: Array, rnorms, cap_hits: int) -> StepTrace:
-    last = [grid.w[k][-1] for k in range(grid.kmax + 1)]
-    return StepTrace(newton_iters=iters, residual_norms=rnorms,
-                     last_stage_w=last, iter_cap_hits=cap_hits)
+@dataclass
+class Lane:
+    """One iterate's tallies over a ``run_blocks`` pass."""
+
+    k: int
+    newton: int = 0
+    cap_hits: int = 0
+    last_w: Array | None = None   # last stage of the latest block
+    updates: Array | None = None  # iterate kmax only: w^0 and its last stages
+    steps: list | None = None     # traces only: (iters, residual norms, last w, cap hits)
 
 
-def advance(p: SplitProblem, tab: TwoDerivativeTableau, grid: IterateGrid,
-            cfg: SolverConfig):
-    """One full timestep: predictor plus kmax corrections; rotates the grid."""
+def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
+               receive=None, send=None, keep_traces: bool = False) -> list:
+    """Compute Block(n, k) for every step n and every k in ``iterates``, in
+    (n, k) order; return one Lane per iterate.
+
+    A block reads what ``dependencies`` names: the stages of Block(n, k-1)
+    (the blue input, k >= 1) and the last stage of its step n-1 source (the
+    red term, or the predictor's source for k = 0); ``seed`` stands in for
+    every block of step -1. Blocks of ``iterates`` are read from this loop's
+    own store, every other input through ``receive(block)``, which returns its
+    (states, bundles); of a step n-1 source only the last stage is read.
+    ``send(block, states, bundles)`` sees each block once it is computed.
+    """
+    tab = builtin(cfg.q)
     dt = p.t_end / cfg.n_steps
-    iters = np.zeros(cfg.kmax + 1, dtype=int)
-    rnorms = [[0.0] * tab.s for _ in range(cfg.kmax + 1)]
-    cap_hits = 0
+    gauss_seidel = cfg.variant == "Alg2"
+    back = {k: next(d.k for d in dependencies(Block(1, k), cfg.variant, cfg.kmax)
+                    if d.n == 0)
+            for k in iterates}
+    lanes = {k: Lane(k, steps=[] if keep_traces else None) for k in iterates}
+    if cfg.kmax in lanes:
+        top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
+        top[0] = seed.w
+    prev, cur = {}, {}  # k -> (states, bundles) of its block at step n-1, n
+    for n in range(cfg.n_steps):
+        for k in iterates:
+            j = back[k]
+            if n == 0:
+                src = seed
+            else:
+                ws, fs = prev[j] if j in lanes else receive(Block(n - 1, j))
+                src = StageSource(ws[-1], fs[-1])
+            if k == 0:
+                ws, fs, results = predictor_block(p, tab, dt, src, cfg.newton)
+            else:
+                blue = cur[k - 1] if k - 1 in lanes else receive(Block(n, k - 1))
+                ws, fs, results = correction_block(p, tab, dt, src, *blue, gauss_seidel,
+                                                   cfg.newton, cfg.corrector_start)
+            cur[k] = ws, fs
+            if send is not None:
+                send(Block(n, k), ws, fs)
+            lane = lanes[k]
+            iters = sum(r.iters for r in results)
+            cap_hits = sum(r.converged_by == "iter_cap" for r in results)
+            lane.newton += iters
+            lane.cap_hits += cap_hits
+            lane.last_w = ws[-1]
+            if lane.updates is not None:
+                lane.updates[n + 1] = ws[-1]
+            if keep_traces:
+                lane.steps.append((iters, [r.residual_norm for r in results],
+                                   ws[-1], cap_hits))
+        prev, cur = cur, {}
+    return list(lanes.values())
 
-    src = grid.predictor_source(cfg.variant)
-    ws, fs, results = predictor_block(p, tab, dt, src, cfg.newton)
-    grid.w[0], grid.f[0] = ws, fs
-    for l, res in enumerate(results):
-        iters[0] += res.iters
-        rnorms[0][l] = res.residual_norm
-        cap_hits += res.converged_by == "iter_cap"
 
-    gauss_seidel = cfg.variant in ("Alg2", "Limit")
-    for k in range(cfg.kmax):
-        red = grid.red_source(k + 1, cfg.variant)
-        ws, fs, results = correction_block(p, tab, dt, red, grid.w[k], grid.f[k],
-                                           gauss_seidel, cfg.newton,
-                                           cfg.corrector_start)
-        grid.w[k + 1], grid.f[k + 1] = ws, fs
-        for l, res in enumerate(results):
-            iters[k + 1] += res.iters
-            rnorms[k + 1][l] = res.residual_norm
-            cap_hits += res.converged_by == "iter_cap"
+def run_result(p: SplitProblem, cfg: SolverConfig, lanes, reference,
+               wallclock: float) -> RunResult:
+    """Merge the Lanes of every iterate, from one or several ``run_blocks``
+    passes, into the run's result."""
+    lanes = sorted(lanes, key=lambda lane: lane.k)
+    final_last = [lane.last_w for lane in lanes]
+    traces = None
+    if lanes[0].steps is not None:
+        traces = []
+        for step in zip(*(lane.steps for lane in lanes)):
+            iters, rnorms, last_w, cap_hits = zip(*step)
+            traces.append(StepTrace(newton_iters=np.array(iters),
+                                    residual_norms=list(rnorms),
+                                    last_stage_w=list(last_w),
+                                    iter_cap_hits=sum(cap_hits)))
+    return RunResult(config=cfg, t_end=p.t_end, updates=lanes[-1].updates,
+                     final_last_w=final_last,
+                     errors=_iterate_errors(p, reference, final_last),
+                     newton_per_iterate=np.array([lane.newton for lane in lanes]),
+                     iter_cap_hits=sum(lane.cap_hits for lane in lanes),
+                     wallclock=wallclock, traces=traces)
 
-    w_next = grid.w[cfg.kmax][-1]
-    trace = _trace_from(grid, iters, rnorms, cap_hits)
-    grid.rotate()
-    return w_next, trace
+
+def known_reference(p: SplitProblem, reference=None) -> Array | None:
+    """The state errors are measured against: ``reference`` when given, else
+    the problem's exact solution at t_end, else its recorded end state; None
+    without any."""
+    if reference is not None:
+        return np.asarray(reference, dtype=float)
+    if p.exact is not None:
+        return np.asarray(p.exact(p.t_end), dtype=float)
+    return p.ref_t_end
 
 
 def _iterate_errors(p: SplitProblem, reference, final_last) -> Array | None:
-    """2-norm error of each final-stage state against ``reference``, else the
-    problem's exact solution or known end state; None without any."""
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-    elif p.exact is not None:
-        ref = np.asarray(p.exact(p.t_end), dtype=float)
-    elif p.ref_t_end is not None:
-        ref = p.ref_t_end
-    else:
+    """2-norm error of each final-stage state against ``known_reference``."""
+    ref = known_reference(p, reference)
+    if ref is None:
         return None
     return np.array([float(np.linalg.norm(w - ref)) for w in final_last])
 
@@ -344,32 +388,10 @@ def integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
     """
     if cfg.variant == "Limit":
         return limit_integrate(p, cfg, reference=reference, keep_traces=keep_traces)
-    tab = builtin(cfg.q)
-    grid = seed(p, cfg)
-    updates = np.empty((cfg.n_steps + 1, p.dim))
-    updates[0] = p.w0
-    newton_per_iterate = np.zeros(cfg.kmax + 1, dtype=int)
-    cap_hits = 0
-    traces = [] if keep_traces else None
-    final_last = None
-
+    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
     t0 = time.perf_counter()
-    for n in range(cfg.n_steps):
-        w_next, trace = advance(p, tab, grid, cfg)
-        updates[n + 1] = w_next
-        newton_per_iterate += trace.newton_iters
-        cap_hits += trace.iter_cap_hits
-        if keep_traces:
-            traces.append(trace)
-        if n == cfg.n_steps - 1:
-            final_last = trace.last_stage_w
-    wallclock = time.perf_counter() - t0
-
-    return RunResult(config=cfg, t_end=p.t_end, updates=updates,
-                     final_last_w=final_last,
-                     errors=_iterate_errors(p, reference, final_last),
-                     newton_per_iterate=newton_per_iterate,
-                     iter_cap_hits=cap_hits, wallclock=wallclock, traces=traces)
+    lanes = run_blocks(p, cfg, seed, range(cfg.kmax + 1), keep_traces=keep_traces)
+    return run_result(p, cfg, lanes, reference, time.perf_counter() - t0)
 
 
 def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from hbpc.core import NonFiniteError, SplitProblem
 from hbpc.pipeline import (Block, DeadlockError, WorkerAssignment, _chan_get,
                            dependencies, integrate_parallel, simulate_schedule)
 from hbpc.problems import scalar_pow, van_der_pol
@@ -22,10 +23,13 @@ def test_dependencies_predictor():
 def test_dependencies_corrections():
     # hierarchical red: one iterate above, clamped at kmax
     assert dependencies(Block(4, 1), "Alg1", 3) == {Block(4, 0), Block(3, 2)}
+    assert dependencies(Block(4, 2), "Alg1", 3) == {Block(4, 1), Block(3, 3)}
     assert dependencies(Block(4, 3), "Alg1", 3) == {Block(4, 2), Block(3, 3)}
+    assert dependencies(Block(4, 1), "Alg2", 3) == {Block(4, 0), Block(3, 2)}
     assert dependencies(Block(0, 2), "Alg1", 3) == {Block(0, 1)}
     # LO red: the same lane one step back
-    assert dependencies(Block(4, 2), "LO", 3) == {Block(4, 1), Block(3, 2)}
+    for k in (1, 2, 3):
+        assert dependencies(Block(4, k), "LO", 3) == {Block(4, k - 1), Block(3, k)}
 
 
 def test_worker_assignment_shapes():
@@ -74,11 +78,15 @@ def test_schedule_validation():
         simulate_schedule("Alg1", 4, 5)  # even kmax has no pairing
 
 
-@pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Alg2", 3),
-                                          ("Alg1", 1), ("LO", 2), ("LO", 4)])
-def test_parallel_matches_serial_bitwise(variant, kmax):
+@pytest.mark.parametrize("variant,kmax,start", [
+    ("Alg1", 3, "hierarchical"), ("Alg2", 3, "hierarchical"),
+    ("Alg1", 1, "hierarchical"), ("LO", 2, "hierarchical"),
+    ("LO", 4, "hierarchical"), ("Alg2", 7, "hierarchical"), ("Alg1", 3, "red"),
+], ids=["Alg1-3", "Alg2-3", "Alg1-1", "LO-2", "LO-4", "Alg2-7", "Alg1-3-red"])
+def test_parallel_matches_serial_bitwise(variant, kmax, start):
     p = scalar_pow()
-    cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=20)
+    cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=20,
+                       corrector_start=start)
     ser = integrate(p, cfg)
     par = integrate_parallel(p, cfg)
     assert np.array_equal(ser.updates, par.updates)
@@ -121,8 +129,38 @@ def test_channel_log_discipline():
     assert set(log) == {"up0", "up1"}
     assert all(v == list(range(n_steps)) for v in log.values())
 
+    # a middle worker reads both channels
+    log = {}
+    integrate_parallel(p, SolverConfig(variant="Alg2", q=4, kmax=5,
+                                       n_steps=n_steps), channel_log=log)
+    assert set(log) == {"up0", "up1", "down0", "down1"}
+    assert all(v == list(range(n_steps)) for v in log.values())
+
 
 def test_channel_get_starvation_raises():
     empty = queue.Queue()
     with pytest.raises(DeadlockError):
         _chan_get(empty, threading.Event(), 0.1, "up0")
+
+
+def _nan_below(threshold=0.6):
+    """w' = -w from w = 1, whose implicit flux turns NaN once w[0] < threshold."""
+    def phi_i(w):
+        return -w if w[0] >= threshold else np.full(1, np.nan)
+    return SplitProblem(dim=1, phi_e=lambda w: np.zeros(1), phi_i=phi_i,
+                        w0=np.ones(1), t_end=1.0,
+                        jac_e=lambda w: np.zeros((1, 1)),
+                        jac_i=lambda w: -np.eye(1),
+                        dphi_i_jac=lambda w: np.eye(1))
+
+
+@pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Alg2", 7), ("LO", 2)])
+def test_worker_failure_raises_and_leaves_no_thread(variant, kmax):
+    p = _nan_below()
+    cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=20)
+    with pytest.raises(NonFiniteError):
+        integrate(p, cfg)
+    before = set(threading.enumerate())
+    with pytest.raises(NonFiniteError):
+        integrate_parallel(p, cfg, channel_timeout=10.0)
+    assert set(threading.enumerate()) <= before

@@ -8,9 +8,9 @@ import pytest
 from hbpc.core import SplitProblem
 from hbpc.newton import NewtonConfig
 from hbpc.problems import BUILTIN, make, pareschi_russo, scalar_pow, van_der_pol
-from hbpc.solver import (CapExceededError, IterateGrid, NoConvergenceError,
-                         RunResult, SolverConfig, StageSource, adaptive_kmax,
-                         integrate, limit_integrate, seed)
+from hbpc.solver import (CapExceededError, NoConvergenceError, RunResult,
+                         SolverConfig, StageSource, adaptive_kmax, integrate,
+                         limit_integrate)
 from hbpc.tableaux import builtin
 
 
@@ -79,23 +79,6 @@ def test_predictor_stage_closed_form():
 def test_solver_config_validation(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)
-
-
-def test_grid_source_selection():
-    kmax = 3
-    prev = [StageSource(np.array([float(k)]), None) for k in range(kmax + 1)]
-    grid = IterateGrid(s=3, kmax=kmax, prev_last=prev)
-    assert grid.predictor_source("Alg1").w[0] == 0.0
-    assert grid.predictor_source("Alg2").w[0] == 1.0
-    assert grid.predictor_source("LO").w[0] == 0.0
-    # hierarchical red: one lane above the target, clamped at kmax
-    assert grid.red_source(1, "Alg1").w[0] == 2.0
-    assert grid.red_source(2, "Alg1").w[0] == 3.0
-    assert grid.red_source(3, "Alg1").w[0] == 3.0
-    assert grid.red_source(1, "Alg2").w[0] == 2.0
-    # LO reads its own lane
-    for k in range(kmax + 1):
-        assert grid.red_source(k, "LO").w[0] == float(k)
 
 
 def test_errors_none_without_reference():
