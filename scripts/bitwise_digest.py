@@ -13,7 +13,7 @@ they return, bit for bit:
   bitwise (the script exits with status 1 if it does not);
 - ``limit_integrate`` on the same problems but Arenstorf, plus a stiff van
   der Pol;
-- the CSV bytes of two convergence studies.
+- the CSV bytes of two convergence studies and of one limit study.
 
 Compare two checkouts by running this file against each one's sources:
 
@@ -42,7 +42,8 @@ def main() -> int:
     import numpy as np
     from hbpc import (NewtonConfig, SolverConfig, StudyConfig, integrate,
                       integrate_parallel, limit_integrate, make, render_csv,
-                      run_convergence_study)
+                      run_convergence_study, run_limit_study)
+    from hbpc.harness import render_limit_csv
 
     repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     total = hashlib.sha256()
@@ -118,6 +119,11 @@ def main() -> int:
         csv = render_csv(run_convergence_study(cfg))
         digest(f"study {cfg.problem} {cfg.variant} q={cfg.q} kmax={cfg.kmax}",
                [csv.encode()])
+    limit_study = StudyConfig(problem="van_der_pol", q=4, n_values=(15, 30),
+                              limit_max_sweeps=2000,
+                              ref_cache=os.path.join(repo, "refcache"))
+    csv = render_limit_csv(run_limit_study(limit_study, [0.1], start_kmax=2))
+    digest("limit study van_der_pol eps=0.1 q=4", [csv.encode()])
 
     print(total.hexdigest())
     for tag in mismatches:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .harness import (StudyConfig, estimate_order, render_csv,
-                      render_limit_csv, run_convergence_study,
+                      render_limit_csv, render_table, run_convergence_study,
                       run_limit_study, run_speedup_study)
 from .pipeline import simulate_schedule
 
@@ -79,12 +79,10 @@ def _run(args) -> None:
     variant = VARIANT_NAMES[args.variant]
     eps_list = _float_list(args.eps) if args.eps else []
     if args.simulate_schedule:
-        lines = ["variant,kmax,N,cycles,serial_cycles"]
-        for n in args.nsteps:
-            cycles = simulate_schedule(variant, args.kmax, n)
-            serial = simulate_schedule("serial", args.kmax, n)
-            lines.append(f"{variant},{args.kmax},{n},{cycles},{serial}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = ([variant, args.kmax, n, simulate_schedule(variant, args.kmax, n),
+                 simulate_schedule("serial", args.kmax, n)] for n in args.nsteps)
+        _emit(render_table(["variant", "kmax", "N", "cycles", "serial_cycles"], rows),
+              args.out)
         return
 
     cfg = StudyConfig(problem=args.problem, variant=variant, q=args.q,
@@ -104,13 +102,10 @@ def _run(args) -> None:
                                for s in slopes)
             print(f"estimated orders per iterate: {pretty}", file=sys.stderr)
     elif args.study == "speedup":
-        reports = run_speedup_study(cfg)
-        lines = ["N,kmax,serial_s,parallel_s,speedup,theoretical"]
-        for r in reports:
-            lines.append(f"{r.n},{r.kmax},{r.serial_s:.16e},"
-                         f"{r.parallel_s:.16e},{r.speedup:.16e},"
-                         f"{r.theoretical:.16e}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = ([r.n, r.kmax, r.serial_s, r.parallel_s, r.speedup, r.theoretical]
+                for r in run_speedup_study(cfg))
+        _emit(render_table(["N", "kmax", "serial_s", "parallel_s", "speedup",
+                            "theoretical"], rows), args.out)
     else:
         if not eps_list:
             raise ValueError("--study limit needs --eps with one or more "

@@ -31,15 +31,11 @@ def _as_state(w) -> Array:
     return w
 
 
-def default_fd_steps(w: Array) -> Array:
-    """Per-component central-difference step h_j = sqrt(eps) * (1 + |w_j|)."""
-    return _SQRT_EPS * (1.0 + np.abs(w))
-
-
-def fd_jacobian(f: Callable[[Array], Array], w: Array, h_rule=default_fd_steps) -> Array:
-    """Central-difference Jacobian of ``f`` at ``w``, column by column."""
+def fd_jacobian(f: Callable[[Array], Array], w: Array) -> Array:
+    """Central-difference Jacobian of ``f`` at ``w``, column by column, with
+    steps h_j = sqrt(eps) * (1 + |w_j|)."""
     w = _as_state(w)
-    h = np.asarray(h_rule(w), dtype=float)
+    h = _SQRT_EPS * (1.0 + np.abs(w))
     cols = []
     for j in range(w.size):
         wp = w.copy()

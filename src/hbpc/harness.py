@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -27,8 +27,7 @@ from .newton import NewtonConfig
 from .pipeline import WorkerAssignment, integrate_parallel
 from .problems import make
 from .solver import (CapExceededError, NoConvergenceError, RunResult,
-                     SolverConfig, adaptive_kmax, integrate, known_reference,
-                     limit_integrate)
+                     SolverConfig, adaptive_kmax, integrate, known_reference)
 
 ERROR_FLOOR = 1e-13
 REF_CACHE_ENV = "HBPC_REF_CACHE"
@@ -107,8 +106,8 @@ class SpeedupReport:
 
 @dataclass(frozen=True)
 class LimitRow:
-    """One (eps, N) cell of the adaptive-vs-limit comparison; failed cells
-    keep None entries and render blank in CSV."""
+    """One (eps, N) cell of the adaptive-vs-limit comparison, fields in CSV
+    column order; failed cells keep None entries, which render blank."""
 
     eps: float
     n: int
@@ -145,9 +144,8 @@ def save_reference(key: str, t_end: float, state: Array,
     """Write one reference state as a single-line CSV; returns the path."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".csv")
-    cells = [f"{t_end:.16e}"] + [f"{x:.16e}" for x in np.asarray(state)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cells) + "\n")
+        fh.write(render_table(None, [[float(t_end), *np.asarray(state, dtype=float)]]))
     return path
 
 
@@ -203,8 +201,6 @@ def _run_one(p: SplitProblem, cfg: StudyConfig, n: int,
     if cfg.parallel:
         return integrate_parallel(p, scfg, workers=cfg.workers,
                                   reference=reference)
-    if cfg.variant == "Limit":
-        return limit_integrate(p, scfg, reference=reference)
     return integrate(p, scfg, reference=reference)
 
 
@@ -332,12 +328,8 @@ def run_limit_study(cfg: StudyConfig, eps_values: Sequence[float],
                 pass
             err_l = None
             try:
-                lcfg = SolverConfig(variant="Limit", q=cfg.q, kmax=1,
-                                    n_steps=n, newton=cfg.newton,
-                                    limit_tol=cfg.limit_tol,
-                                    limit_max_sweeps=cfg.limit_max_sweeps)
-                err_l = float(limit_integrate(p, lcfg,
-                                              reference=ref).errors[0])
+                lcfg = replace(_solver_config(sub, n), variant="Limit", kmax=1)
+                err_l = float(integrate(p, lcfg, reference=ref).errors[0])
             except NoConvergenceError:
                 pass
             agree = None
@@ -349,23 +341,33 @@ def run_limit_study(cfg: StudyConfig, eps_values: Sequence[float],
     return tuple(out)
 
 
+def _cell(x) -> str:
+    """One CSV cell: blank for None, 1/0 for a flag, %.16e for a float."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return f"{x:.16e}"
+    return str(x)
+
+
+def render_table(header, rows) -> str:
+    """Comma-separated ``header`` line (none when None), then one line of
+    ``_cell``s per row; LF line endings."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(table: ConvergenceTable) -> str:
     """Fixed-format CSV: N, per-iterate errors, wallclock, per-worker
     Newton tallies; %.16e floats, integer counts, LF line endings."""
-    rows = table.rows
-    n_err = len(rows[0].errs)
-    n_newton = len(rows[0].newton)
-    header = ("N," + ",".join(f"err_k{k}" for k in range(n_err))
-              + ",wallclock_s,"
-              + ",".join(f"newton_w{i}" for i in range(n_newton)))
-    lines = [header]
-    for r in rows:
-        cells = [str(r.n)]
-        cells += [f"{e:.16e}" for e in r.errs]
-        cells.append(f"{r.wallclock:.16e}")
-        cells += [str(c) for c in r.newton]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    r0 = table.rows[0]
+    header = ["N", *(f"err_k{k}" for k in range(len(r0.errs))), "wallclock_s",
+              *(f"newton_w{i}" for i in range(len(r0.newton)))]
+    return render_table(header, ([r.n, *r.errs, r.wallclock, *r.newton]
+                                 for r in table.rows))
 
 
 def write_csv(path, table: ConvergenceTable) -> None:
@@ -402,13 +404,5 @@ def parse_csv(source, t_end: float) -> ConvergenceTable:
 
 
 def render_limit_csv(rows) -> str:
-    header = "eps,N,kmax_used,err_adaptive,err_limit,agree"
-    lines = [header]
-    for r in rows:
-        cells = [f"{r.eps:.16e}", str(r.n),
-                 "" if r.kmax_used is None else str(r.kmax_used),
-                 "" if r.err_adaptive is None else f"{r.err_adaptive:.16e}",
-                 "" if r.err_limit is None else f"{r.err_limit:.16e}",
-                 "" if r.agree is None else str(int(r.agree))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return render_table(["eps", "N", "kmax_used", "err_adaptive", "err_limit",
+                         "agree"], (astuple(r) for r in rows))

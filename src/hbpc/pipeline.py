@@ -4,10 +4,11 @@ Each worker runs the serial solver's block loop, ``solver.run_blocks``, over
 the iterates it owns (``WorkerAssignment``) and receives the other inputs
 over channels. ``dependencies`` decides what travels: a block that another
 worker reads as its blue input (same step) goes out with all its stages, one
-read as a red term or predictor source (next step) with its last stage only.
-For the high-order variants worker p owns iterates {2p, 2p+1} and reads from
-``up{p-1}`` and ``down{p}``; the low-order variant runs one worker per
-iterate and only ships upward. Channels carry strictly increasing steps.
+read as a red term or predictor source (next step) with its last stage only,
+and not at all from the last step. For the high-order variants worker p owns
+iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``; the low-order
+variant runs one worker per iterate and only ships upward. Channels carry
+strictly increasing steps and hold at most 8 messages.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -53,26 +54,21 @@ class WorkerAssignment:
                 f"the paired-iterate pipeline needs odd kmax, got {self.kmax}")
 
     @property
-    def n_workers(self) -> int:
+    def width(self) -> int:
+        """Iterates per worker: all of them serially, one per LO lane, else a pair."""
         if self.variant == "serial":
-            return 1
-        if self.variant == "LO":
             return self.kmax + 1
-        return (self.kmax + 1) // 2
+        return 1 if self.variant == "LO" else 2
+
+    @property
+    def n_workers(self) -> int:
+        return (self.kmax + 1) // self.width
 
     def owner(self, k: int) -> int:
-        if self.variant == "serial":
-            return 0
-        if self.variant == "LO":
-            return k
-        return k // 2
+        return k // self.width
 
     def iterates(self, p: int):
-        if self.variant == "serial":
-            return list(range(self.kmax + 1))
-        if self.variant == "LO":
-            return [p]
-        return [2 * p, 2 * p + 1]
+        return list(range(p * self.width, (p + 1) * self.width))
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,7 @@ def _chan_get(q_: queue.Queue, abort: threading.Event, timeout: float, name: str
 
 def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None = None,
                        reference=None, channel_log: dict | None = None,
-                       channel_timeout: float = 120.0,
-                       channel_capacity: int = 8) -> RunResult:
+                       channel_timeout: float = 120.0) -> RunResult:
     """Run the pipelined executor; the result is bit-identical to integrate.
 
     ``workers`` is checked against the variant's required count when given.
@@ -171,7 +166,7 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
             if w != v:
                 readers[d.k][v] = d.n == 1
                 name = f"up{w}" if v > w else f"down{v}"
-                chans[w, v] = (queue.Queue(maxsize=channel_capacity), name)
+                chans[w, v] = (queue.Queue(maxsize=8), name)
                 if channel_log is not None:
                     channel_log[name] = []
 
@@ -188,6 +183,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
         def send(b: Block, ws, fs):
             for v, blue in readers[b.k].items():
+                if not blue and b.n == cfg.n_steps - 1:
+                    continue  # no step follows to read it
                 q_, name = chans[w, v]
                 msg = (BlockResult(b.n, b.k, ws[-1], fs[-1], ws, fs) if blue
                        else BlockResult(b.n, b.k, ws[-1], fs[-1]))

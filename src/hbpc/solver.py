@@ -202,24 +202,6 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
 
 
-def _correct_one(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, l: int,
-                 red: StageSource, blue_w, blue_f, phis: Array, dphis: Array,
-                 ncfg: NewtonConfig, start: str):
-    """One corrected stage: red constant + implicit difference + quadrature.
-
-    ``blue_w``/``blue_f`` are the previous iterate's stage states and bundles
-    at this step; the (s, d) arrays ``phis``/``dphis`` hold the Phi and dPhi
-    rows feeding the quadrature (those of ``blue_f`` for a Jacobi sweep,
-    partially refreshed for Gauss-Seidel).
-    """
-    if l == 0:
-        return red.w, red.f, _copy_result(red.w)
-    i_l = quadrature(tab, l, dt, phis, dphis)
-    rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
-    src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
-    return _solve_stage(p, dt, rhs, src, ncfg)
-
-
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                     src: StageSource, ncfg: NewtonConfig):
     """All predictor stages from one source; returns (states, bundles, results).
@@ -248,17 +230,23 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                      ncfg: NewtonConfig, start: str):
     """One full correction sweep over the stages; returns (states, bundles, results).
 
-    The quadrature reads one (s, d) stack of the blue Phi and dPhi, built once
-    per sweep; a Gauss-Seidel sweep overwrites row l with the fresh fluxes of
-    stage l as soon as it is solved, so later stages see them.
+    Stage 0 copies the red term; stage l > 0 adds to it the implicit
+    difference against blue stage l and the quadrature, which reads one (s, d)
+    stack of the blue Phi and dPhi, built once per sweep; a Gauss-Seidel sweep
+    overwrites row l with the fresh fluxes of stage l once it is solved.
     """
     phis = np.array([b.phi for b in blue_f])
     dphis = np.array([b.dphi for b in blue_f])
     ws, fs, results = [], [], []
     with np.errstate(all="ignore"):
         for l in range(tab.s):
-            w, f, res = _correct_one(p, tab, dt, l, red, blue_w, blue_f, phis,
-                                     dphis, ncfg, start)
+            if l == 0:
+                w, f, res = red.w, red.f, _copy_result(red.w)
+            else:
+                i_l = quadrature(tab, l, dt, phis, dphis)
+                rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
+                src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
+                w, f, res = _solve_stage(p, dt, rhs, src, ncfg)
             if gauss_seidel:
                 phis[l] = f.phi
                 dphis[l] = f.dphi
@@ -270,14 +258,29 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
 
 @dataclass
 class Lane:
-    """One iterate's tallies over a ``run_blocks`` pass."""
+    """One iterate's tallies over a ``run_blocks`` pass (or a Limit run)."""
 
     k: int
     newton: int = 0
     cap_hits: int = 0
     last_w: Array | None = None   # last stage of the latest block
-    updates: Array | None = None  # iterate kmax only: w^0 and its last stages
+    updates: Array | None = None  # top iterate only: w^0 and its last stages
     steps: list | None = None     # traces only: (iters, residual norms, last w, cap hits)
+
+    def add(self, n: int, last_w: Array, results, solved=None) -> None:
+        """Tally step n's block: Newton iterations and cap hits of ``solved``
+        (default ``results``), residual norms of ``results``."""
+        solved = results if solved is None else solved
+        iters = sum(r.iters for r in solved)
+        cap_hits = sum(r.converged_by == "iter_cap" for r in solved)
+        self.newton += iters
+        self.cap_hits += cap_hits
+        self.last_w = last_w
+        if self.updates is not None:
+            self.updates[n + 1] = last_w
+        if self.steps is not None:
+            self.steps.append((iters, [r.residual_norm for r in results], last_w,
+                               cap_hits))
 
 
 def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
@@ -321,42 +324,33 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
             cur[k] = ws, fs
             if send is not None:
                 send(Block(n, k), ws, fs)
-            lane = lanes[k]
-            iters = sum(r.iters for r in results)
-            cap_hits = sum(r.converged_by == "iter_cap" for r in results)
-            lane.newton += iters
-            lane.cap_hits += cap_hits
-            lane.last_w = ws[-1]
-            if lane.updates is not None:
-                lane.updates[n + 1] = ws[-1]
-            if keep_traces:
-                lane.steps.append((iters, [r.residual_norm for r in results],
-                                   ws[-1], cap_hits))
+            lanes[k].add(n, ws[-1], results)
         prev, cur = cur, {}
     return list(lanes.values())
 
 
 def run_result(p: SplitProblem, cfg: SolverConfig, lanes, reference,
-               wallclock: float) -> RunResult:
-    """Merge the Lanes of every iterate, from one or several ``run_blocks``
-    passes, into the run's result."""
+               wallclock: float, sweeps: list | None = None) -> RunResult:
+    """Merge the Lanes of every iterate, from ``run_blocks`` passes or a Limit
+    run (with its ``sweeps`` per step), into the run's result."""
     lanes = sorted(lanes, key=lambda lane: lane.k)
     final_last = [lane.last_w for lane in lanes]
     traces = None
     if lanes[0].steps is not None:
         traces = []
-        for step in zip(*(lane.steps for lane in lanes)):
+        for n, step in enumerate(zip(*(lane.steps for lane in lanes))):
             iters, rnorms, last_w, cap_hits = zip(*step)
             traces.append(StepTrace(newton_iters=np.array(iters),
                                     residual_norms=list(rnorms),
                                     last_stage_w=list(last_w),
-                                    iter_cap_hits=sum(cap_hits)))
+                                    iter_cap_hits=sum(cap_hits),
+                                    sweeps=0 if sweeps is None else sweeps[n]))
     return RunResult(config=cfg, t_end=p.t_end, updates=lanes[-1].updates,
                      final_last_w=final_last,
                      errors=_iterate_errors(p, reference, final_last),
                      newton_per_iterate=np.array([lane.newton for lane in lanes]),
                      iter_cap_hits=sum(lane.cap_hits for lane in lanes),
-                     wallclock=wallclock, traces=traces)
+                     wallclock=wallclock, traces=traces, sweeps_per_step=sweeps)
 
 
 def known_reference(p: SplitProblem, reference=None) -> Array | None:
@@ -402,26 +396,19 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
         raise ValueError("limit_integrate requires variant='Limit'")
     tab = builtin(cfg.q)
     dt = p.t_end / cfg.n_steps
-    w = p.w0.copy()
-    f = eval_bundle(p, w)
-    updates = np.empty((cfg.n_steps + 1, p.dim))
-    updates[0] = w
-    total_iters = 0
-    cap_hits = 0
+    src = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    lane = Lane(0, updates=np.empty((cfg.n_steps + 1, p.dim)),
+                steps=[] if keep_traces else None)
+    lane.updates[0] = src.w
     sweeps_per_step = []
-    traces = [] if keep_traces else None
 
     t0 = time.perf_counter()
     for n in range(cfg.n_steps):
-        src = StageSource(w, f)
-        ws, fs, results = predictor_block(p, tab, dt, src, cfg.newton)
-        step_iters = sum(r.iters for r in results)
-        cap_hits += sum(r.converged_by == "iter_cap" for r in results)
+        ws, fs, solved = predictor_block(p, tab, dt, src, cfg.newton)
         for sweep in range(1, cfg.limit_max_sweeps + 1):
             new_ws, new_fs, results = correction_block(
                 p, tab, dt, src, ws, fs, True, cfg.newton, cfg.corrector_start)
-            step_iters += sum(r.iters for r in results)
-            cap_hits += sum(r.converged_by == "iter_cap" for r in results)
+            solved += results
             delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new_ws, ws))
             ws, fs = new_ws, new_fs
             if delta <= cfg.limit_tol:
@@ -431,21 +418,10 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
                 f"limit sweep at step {n} still changing by {delta:.3e} "
                 f"after {cfg.limit_max_sweeps} sweeps")
         sweeps_per_step.append(sweep)
-        total_iters += step_iters
-        w, f = ws[-1], fs[-1]
-        updates[n + 1] = w
-        if keep_traces:
-            traces.append(StepTrace(
-                newton_iters=np.array([step_iters]),
-                residual_norms=[[r.residual_norm for r in results]],
-                last_stage_w=[w], sweeps=sweep))
-    wallclock = time.perf_counter() - t0
-
-    return RunResult(config=cfg, t_end=p.t_end, updates=updates,
-                     final_last_w=[w], errors=_iterate_errors(p, reference, [w]),
-                     newton_per_iterate=np.array([total_iters]),
-                     iter_cap_hits=cap_hits, wallclock=wallclock,
-                     traces=traces, sweeps_per_step=sweeps_per_step)
+        lane.add(n, ws[-1], results, solved)
+        src = StageSource(ws[-1], fs[-1])
+    return run_result(p, cfg, [lane], reference, time.perf_counter() - t0,
+                      sweeps=sweeps_per_step)
 
 
 def adaptive_kmax(p: SplitProblem, base_cfg: SolverConfig, start_kmax: int,

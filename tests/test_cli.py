@@ -1,5 +1,7 @@
 """CLI: argument plumbing, output routing, exit codes."""
 
+import re
+
 from hbpc.cli import build_parser, main
 from hbpc.harness import parse_csv
 
@@ -52,6 +54,11 @@ def test_speedup_study_format(capsys):
     assert lines[0] == "N,kmax,serial_s,parallel_s,speedup,theoretical"
     assert len(lines) == 3
     assert float(lines[1].split(",")[5]) > 1.0
+    for n, line in zip(("8", "16"), lines[1:]):
+        cells = line.split(",")
+        assert cells[:2] == [n, "3"]
+        assert len(cells) == 6
+        assert all(re.fullmatch(r"-?\d\.\d{16}e[+-]\d\d", c) for c in cells[2:])
 
 
 def test_limit_study_requires_eps(capsys):

@@ -75,6 +75,8 @@ def test_limit_csv_blanks_and_flags():
                          err_limit=1.002e-5, agree=True),
         harness.LimitRow(eps=0.1, n=40, kmax_used=None, err_adaptive=None,
                          err_limit=2e-7, agree=None),
+        harness.LimitRow(eps=0.1, n=80, kmax_used=16, err_adaptive=1e-8,
+                         err_limit=2e-8, agree=False),
     ]
     text = render_limit_csv(rows)
     lines = text.split("\n")
@@ -84,6 +86,7 @@ def test_limit_csv_blanks_and_flags():
     assert lines[2].split(",")[2] == ""
     assert lines[2].split(",")[3] == ""
     assert lines[2].split(",")[-1] == ""
+    assert lines[3].split(",")[-1] == "0"
 
 
 # ------------------------------------------------------------- order fitting

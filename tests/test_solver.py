@@ -216,6 +216,19 @@ def test_keep_traces_records_every_step():
         sum(t.newton_iters for t in run.traces))
 
 
+@pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Limit", 1)])
+def test_traces_sum_to_the_run_totals(variant, kmax):
+    cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=4,
+                       newton=NewtonConfig(max_iter=1))
+    run = integrate(scalar_pow(), cfg, keep_traces=True)
+    assert run.iter_cap_hits > 0
+    assert sum(tr.iter_cap_hits for tr in run.traces) == run.iter_cap_hits
+    assert np.array_equal(sum(tr.newton_iters for tr in run.traces),
+                          run.newton_per_iterate)
+    if variant == "Limit":
+        assert [tr.sweeps for tr in run.traces] == run.sweeps_per_step
+
+
 # -- the fused, warm-started stage solve ----------------------------------------
 
 _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
