@@ -11,6 +11,9 @@ they return, bit for bit:
   norm of every stage solve and the last-stage states;
 - ``integrate_parallel`` on the same cases, which must equal the serial run
   bitwise (the script exits with status 1 if it does not);
+- both again on scalar_pow Alg1 and Alg2 at q=8, kmax=9 with tight Newton
+  tolerances, where the sweeps reach their fixed point and the block loop
+  reuses blocks instead of recomputing them;
 - ``limit_integrate`` on the same problems but Arenstorf, plus a stiff van
   der Pol;
 - the CSV bytes of two convergence studies and of one limit study.
@@ -85,20 +88,28 @@ def main() -> int:
         ("van_der_pol_fd", vdp_fd, 20),
     ]
     mismatches = []
+
+    def serial_and_parallel(tag, p, cfg):
+        serial = integrate(p, cfg, keep_traces=True)
+        digest(f"integrate {tag}", run_items(serial) + trace_items(serial))
+        par = integrate_parallel(p, cfg)
+        digest(f"integrate_parallel {tag}", run_items(par))
+        a_items, b_items = run_items(serial), run_items(par)
+        if len(a_items) != len(b_items) or any(
+                a.tobytes() != b.tobytes() for a, b in zip(a_items, b_items)):
+            mismatches.append(tag)
+
     for label, p, n in cases:
         for variant in ("Alg1", "Alg2", "LO"):
             for start in ("hierarchical", "red"):
                 cfg = SolverConfig(variant=variant, q=8, kmax=3, n_steps=n,
                                    corrector_start=start)
-                tag = f"{label} {variant} {start}"
-                serial = integrate(p, cfg, keep_traces=True)
-                digest(f"integrate {tag}", run_items(serial) + trace_items(serial))
-                par = integrate_parallel(p, cfg)
-                digest(f"integrate_parallel {tag}", run_items(par))
-                a_items, b_items = run_items(serial), run_items(par)
-                if len(a_items) != len(b_items) or any(
-                        a.tobytes() != b.tobytes() for a, b in zip(a_items, b_items)):
-                    mismatches.append(tag)
+                serial_and_parallel(f"{label} {variant} {start}", p, cfg)
+
+    tight = NewtonConfig(rel_tol=1e-13, abs_tol=1e-15)
+    for variant in ("Alg1", "Alg2"):
+        cfg = SolverConfig(variant=variant, q=8, kmax=9, n_steps=40, newton=tight)
+        serial_and_parallel(f"scalar_pow {variant} kmax=9 tight", make("scalar_pow"), cfg)
 
     # the limit sweep does not settle on the Arenstorf case at this step size
     limit_cases = [c for c in cases if c[0] != "arenstorf"]
@@ -111,7 +122,7 @@ def main() -> int:
 
     studies = [
         StudyConfig(problem="scalar_pow", alpha=0.2, variant="Alg1", q=8, kmax=9,
-                    newton=NewtonConfig(rel_tol=1e-13, abs_tol=1e-15)),
+                    newton=tight),
         StudyConfig(problem="pareschi_russo", eps=1.0, variant="Alg2", q=6, kmax=3,
                     n_values=(20, 40, 80), ref_cache=os.path.join(repo, "refcache")),
     ]

@@ -452,3 +452,104 @@ def test_correction_sweep_equals_restacking_per_stage_bitwise(name, start,
             if l:
                 assert results[l].residual_history == ref_hist[l]
         blue_w, blue_f = ws, fs
+
+
+# -- the fixed-point skip in run_blocks -----------------------------------------
+
+TIGHT = NewtonConfig(rel_tol=1e-13, abs_tol=1e-15)
+_DIGEST_STEPS = {"scalar_pow": 20, "pareschi_russo": 40, "van_der_pol": 20,
+                 "arenstorf": 40, "fd": 20}
+
+
+@pytest.mark.parametrize("start", ["hierarchical", "red"])
+@pytest.mark.parametrize("variant", ["Alg1", "Alg2", "LO"])
+@pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
+def test_every_block_bundle_is_eval_bundle_of_its_state(name, variant, start):
+    # The skip rests on this: a block's outputs depend on its input states
+    # alone, because every bundle the loop hands on is eval_bundle's.
+    from hbpc.core import eval_bundle
+    from hbpc.solver import run_blocks
+
+    p = _problem(name)
+    t_end = 1.0 if name == "arenstorf" else p.t_end  # the digest's slice
+    p = replace(p, t_end=3 * t_end / _DIGEST_STEPS[name])
+    cfg = SolverConfig(variant=variant, q=8, kmax=5, n_steps=3, corrector_start=start)
+    seen = []
+
+    def send(block, ws, fs):
+        seen.append(block)
+        for w, f in zip(ws, fs):
+            ref = eval_bundle(p, w)
+            for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
+                assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), \
+                    (block, field)
+
+    run_blocks(p, cfg, _start(p, p.w0.copy()), range(cfg.kmax + 1), send=send)
+    assert len(seen) == cfg.n_steps * (cfg.kmax + 1)
+
+
+def test_reads_same_asks_for_the_very_same_state_objects():
+    from hbpc.solver import _reads_same
+
+    red, blue = np.ones(1), [np.ones(1), np.zeros(1)]
+    read = (red, blue, None)
+    assert _reads_same(red, list(blue), read)
+    assert not _reads_same(red.copy(), blue, read)
+    assert not _reads_same(red, [blue[0], blue[1].copy()], read)
+
+
+def _skip_cases():
+    arenstorf = make("arenstorf")
+    return {
+        "scalar_pow-Alg1": (make("scalar_pow"), SolverConfig(
+            variant="Alg1", q=8, kmax=9, n_steps=80, newton=TIGHT)),
+        "arenstorf-Alg2": (replace(arenstorf, t_end=arenstorf.t_end * 20 / 100000),
+                           SolverConfig(variant="Alg2", q=8, kmax=15, n_steps=20)),
+        "van_der_pol-LO": (make("van_der_pol"), SolverConfig(
+            variant="LO", q=8, kmax=9, n_steps=20)),
+        "scalar_pow-Alg1-red": (make("scalar_pow"), SolverConfig(
+            variant="Alg1", q=8, kmax=9, n_steps=40, newton=TIGHT,
+            corrector_start="red")),
+    }
+
+
+def _assert_runs_bitwise_equal(a, b):
+    assert a.updates.tobytes() == b.updates.tobytes()
+    assert np.array(a.final_last_w).tobytes() == np.array(b.final_last_w).tobytes()
+    assert (a.errors is None and b.errors is None
+            or a.errors.tobytes() == b.errors.tobytes())
+    assert np.array_equal(a.newton_per_iterate, b.newton_per_iterate)
+    assert a.iter_cap_hits == b.iter_cap_hits
+    assert len(a.traces) == len(b.traces)
+    for ta, tb in zip(a.traces, b.traces):
+        assert np.array_equal(ta.newton_iters, tb.newton_iters)
+        assert ta.residual_norms == tb.residual_norms
+        assert np.array(ta.last_stage_w).tobytes() == np.array(tb.last_stage_w).tobytes()
+        assert ta.iter_cap_hits == tb.iter_cap_hits
+
+
+@pytest.mark.parametrize("case", sorted(_skip_cases()))
+def test_fixed_point_skip_is_bitwise_neutral(case, monkeypatch):
+    import hbpc.solver as solver_mod
+
+    p, cfg = _skip_cases()[case]
+    skipped = integrate(p, cfg, keep_traces=True)
+    monkeypatch.setattr(solver_mod, "_reads_same", lambda *args: False)
+    computed = integrate(p, cfg, keep_traces=True)
+    _assert_runs_bitwise_equal(skipped, computed)
+
+
+def test_fixed_point_skip_fires(monkeypatch):
+    import hbpc.solver as solver_mod
+
+    p, cfg = _skip_cases()["scalar_pow-Alg1"]
+    calls = []
+    block = solver_mod.correction_block
+    monkeypatch.setattr(solver_mod, "correction_block",
+                        lambda *args: calls.append(1) or block(*args))
+    integrate(p, cfg)
+    assert len(calls) == 529  # of kmax * n_steps = 720
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "_reads_same", lambda *args: False)
+    integrate(p, cfg)
+    assert len(calls) == cfg.kmax * cfg.n_steps
