@@ -14,6 +14,10 @@ they return, bit for bit:
 - both again on scalar_pow Alg1 and Alg2 at q=8, kmax=9 with tight Newton
   tolerances, where the sweeps reach their fixed point and the block loop
   reuses blocks instead of recomputing them;
+- both again on stiff van der Pol (Alg1) and Pareschi-Russo (LO), eps=1e-3,
+  q=8, kmax=9, whose serial runs solve wide wavefronts as one stack with
+  lanes that retire at different iterations and are damped, while the
+  pipeline solves the same stages one by one;
 - ``limit_integrate`` on the same problems but Arenstorf, plus a stiff van
   der Pol;
 - the CSV bytes of two convergence studies and of one limit study.
@@ -110,6 +114,9 @@ def main() -> int:
     for variant in ("Alg1", "Alg2"):
         cfg = SolverConfig(variant=variant, q=8, kmax=9, n_steps=40, newton=tight)
         serial_and_parallel(f"scalar_pow {variant} kmax=9 tight", make("scalar_pow"), cfg)
+    for name, variant, n in (("van_der_pol", "Alg1", 20), ("pareschi_russo", "LO", 40)):
+        cfg = SolverConfig(variant=variant, q=8, kmax=9, n_steps=n)
+        serial_and_parallel(f"{name} eps=1e-3 {variant} kmax=9", make(name, eps=1e-3), cfg)
 
     # the limit sweep does not settle on the Arenstorf case at this step size
     limit_cases = [c for c in cases if c[0] != "arenstorf"]

@@ -62,6 +62,10 @@ class SplitProblem:
     the full residual. ``ref_t_end`` records a known state at ``t_end`` for
     problems without a closed-form solution (e.g. a closed orbit returning to
     its initial point).
+
+    A callback may carry a ``stack`` attribute mapping (B, d) states to (B, d)
+    or (B, d, d), row i with the bits of the per-state call on row i; only
+    with all five stacked may the solver solve stage systems as one stack.
     """
 
     dim: int

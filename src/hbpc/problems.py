@@ -3,7 +3,8 @@
 Each factory returns a fully wired SplitProblem: explicit/implicit fluxes,
 their Jacobians, the Jacobian of the implicit solution-derivative
 ``w -> Phi_I'(w) Phi(w)`` (so stage solves get an exact Newton matrix), and
-an exact or reference solution where one exists.
+an exact or reference solution where one exists. Every callback carries its
+stacked form as ``.stack`` (see ``SplitProblem``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,36 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SplitProblem
+
+
+def _constant_stack(mat):
+    """Stacked form of a callback that always returns ``mat``."""
+    return lambda W: np.broadcast_to(mat, (len(W),) + mat.shape)
+
+
+def _second(g):
+    """(B, 2) stack of the vectors (0, g)."""
+    return np.stack([np.zeros(len(g)), g], axis=1)
+
+
+def _second_row(x, y):
+    """(B, 2, 2) stack of the matrices [[0, 0], [x, y]]."""
+    out = np.zeros((len(x), 2, 2))
+    out[:, 1, 0], out[:, 1, 1] = x, y
+    return out
+
+
+def _pow_rows(x, e):
+    """``x ** e`` per entry, bitwise as float64 scalars take it (libm ``pow``;
+    array ``**`` differs in 5 % of samples at e = -3.5), on Python floats
+    unless Python would raise or leave the reals there."""
+    vals = x.tolist()
+    try:
+        if float(e).is_integer() or min(vals) > 0.0:
+            return np.array([v ** e for v in vals])
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return np.array([v ** e for v in x])
 
 
 def scalar_pow(alpha: float = 0.2) -> SplitProblem:
@@ -24,6 +55,7 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
     beta = 1.0 - alpha
 
     def full(w):
+        # array ** gives a (B, 1) stack the bits it gives each row alone
         return -w ** -2.5
 
     def phi_e(w):
@@ -41,6 +73,11 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
     def dphi_i_jac(w):
         # Phi_I'(w) Phi(w) = 2.5 beta w^{-7/2} * (-w^{-5/2}) = -2.5 beta w^{-6}
         return np.array([[15.0 * beta * w[0] ** -7.0]])
+
+    phi_e.stack, phi_i.stack = phi_e, phi_i
+    jac_e.stack = lambda W: (2.5 * alpha * _pow_rows(W[:, 0], -3.5))[:, None, None]
+    jac_i.stack = lambda W: (2.5 * beta * _pow_rows(W[:, 0], -3.5))[:, None, None]
+    dphi_i_jac.stack = lambda W: (15.0 * beta * _pow_rows(W[:, 0], -7.0))[:, None, None]
 
     def exact(t):
         return np.array([(1.0 - 3.5 * t) ** (2.0 / 7.0)])
@@ -75,6 +112,13 @@ def pareschi_russo(eps: float = 1.0) -> SplitProblem:
         dg_dw2 = (-np.cos(w1) + 1.0 / eps) / eps
         return np.array([[0.0, 0.0], [dg_dw1, dg_dw2]])
 
+    phi_e.stack = lambda W: np.stack([-W[:, 1], W[:, 0]], axis=1)
+    phi_i.stack = lambda W: _second((np.sin(W[:, 0]) - W[:, 1]) / eps)
+    jac_e.stack = _constant_stack(jac_e(None))
+    jac_i.stack = lambda W: _second_row(np.cos(W[:, 0]) / eps, -1.0 / eps)
+    dphi_i_jac.stack = lambda W: _second_row(
+        (W[:, 1] * np.sin(W[:, 0]) - 1.0 - np.cos(W[:, 0]) / eps) / eps,
+        (-np.cos(W[:, 0]) + 1.0 / eps) / eps)
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([np.pi / 2.0, 1.0]), t_end=5.0,
                         jac_e=jac_e, jac_i=jac_i, dphi_i_jac=dphi_i_jac,
@@ -111,6 +155,22 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
         dh_dw1 = (-2.0 * w2 ** 2 - 2.0 * w1 * g) / eps + a * b
         dh_dw2 = -2.0 * w1 * w2 / eps + a + b ** 2
         return np.array([[0.0, 0.0], [dh_dw1, dh_dw2]])
+
+    def dphi_i_jac_stack(W):
+        w1, w2 = W.T
+        a = (-2.0 * w1 * w2 - 1.0) / eps
+        b = (1.0 - _pow_rows(w1, 2)) / eps
+        g = ((1.0 - _pow_rows(w1, 2)) * w2 - w1) / eps
+        return _second_row((-2.0 * _pow_rows(w2, 2) - 2.0 * w1 * g) / eps + a * b,
+                           -2.0 * w1 * w2 / eps + a + _pow_rows(b, 2))
+
+    phi_e.stack = lambda W: np.stack([W[:, 1], np.zeros(len(W))], axis=1)
+    phi_i.stack = lambda W: _second(
+        ((1.0 - _pow_rows(W[:, 0], 2)) * W[:, 1] - W[:, 0]) / eps)
+    jac_e.stack = _constant_stack(jac_e(None))
+    jac_i.stack = lambda W: _second_row((-2.0 * W[:, 0] * W[:, 1] - 1.0) / eps,
+                                        (1.0 - _pow_rows(W[:, 0], 2)) / eps)
+    dphi_i_jac.stack = dphi_i_jac_stack
 
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([2.0, -2.0 / 3.0 + 10.0 / 81.0 * eps]),
@@ -187,6 +247,11 @@ def _at_position(fn, w):
         return fn(w[0], w[1])
 
 
+def _at_positions(fn, W):
+    """(B, m) array of ``_at_position(fn, w)`` over the rows w of ``W``."""
+    return np.array([_at_position(fn, w) for w in W])
+
+
 def arenstorf() -> SplitProblem:
     """Restricted three-body problem in rotating coordinates: a closed orbit
     of period 17.065216560159 from w0 = (0.994, 0, 0, -2.001585106379).
@@ -202,7 +267,7 @@ def arenstorf() -> SplitProblem:
     ``**``. What must stay numpy is kept numpy: the two 2 x 2 products
     dA/dx @ (x', y') and dA/dy @ (x', y') (their summation is BLAS's), and the
     fallback to float64 scalars where Python raises instead of returning
-    inf/NaN (``_at_position``).
+    inf/NaN (``_at_position``). The stacked forms keep that float math per row.
     """
 
     def phi_e(w):
@@ -252,6 +317,28 @@ def arenstorf() -> SplitProblem:
                          [0.0, 0.0, 0.0, 0.0],
                          [gx[0], gy[0], a, b],
                          [gx[1], gy[1], b, c]])
+
+    def jac_i_stack(W):
+        out = np.zeros((len(W), 4, 4))
+        out[:, 2:, :2] = _at_positions(_accel_jac, W)[:, [[0, 1], [1, 2]]]
+        return out
+
+    def dphi_i_jac_stack(W):
+        out = jac_i_stack(W)[:, :, [2, 3, 0, 1]]  # A moved to columns 2, 3
+        e = _at_positions(_accel_jac_derivs, W)
+        # matmul's bits depend on its operands' memory layout: contiguous
+        # ones give the per-state products'
+        v = np.ascontiguousarray(W[:, 2:, None])
+        out[:, 2:, 0] = (np.ascontiguousarray(e[:, [[0, 1], [1, 2]]]) @ v)[:, :, 0]
+        out[:, 2:, 1] = (np.ascontiguousarray(e[:, [[1, 2], [2, 3]]]) @ v)[:, :, 0]
+        return out
+
+    phi_e.stack = lambda W: np.stack([W[:, 2], W[:, 3], W[:, 0] + 2.0 * W[:, 3],
+                                      W[:, 1] - 2.0 * W[:, 2]], axis=1)
+    phi_i.stack = lambda W: np.concatenate([np.zeros_like(W[:, 2:]),
+                                            _at_positions(_accel, W)], axis=1)
+    jac_e.stack = _constant_stack(jac_e_mat)
+    jac_i.stack, dphi_i_jac.stack = jac_i_stack, dphi_i_jac_stack
 
     return SplitProblem(dim=4, phi_e=phi_e, phi_i=phi_i,
                         w0=_ARENSTORF_W0.copy(), t_end=_ARENSTORF_PERIOD,

@@ -18,11 +18,14 @@ last iterate (first-same-as-last). Four variants share this machinery:
 
 The unit of work is a block, all stages of iterate k at step n; blocks and
 the inputs each reads (``dependencies``) form a DAG. ``run_blocks`` computes
-the blocks of some iterates in (step, iterate) order: ``integrate`` runs it
-over every iterate, each pipeline worker over its own. Once the sweeps of a
-step reach their fixed point, a correction block reads the same state
-objects as its predecessor, and ``run_blocks`` hands out the predecessor's
-outputs instead of recomputing them (the fixed-point skip). ``limit_integrate``
+the blocks of some iterates one wavefront of the DAG at a time: ``integrate``
+runs it over every iterate, each pipeline worker over its own. Once the
+sweeps of a step reach their fixed point, a correction block reads the same
+state objects as its predecessor, and ``run_blocks`` hands out the
+predecessor's outputs instead of recomputing them (the fixed-point skip).
+A wavefront's blocks are independent, the method's time parallelism, which
+``run_blocks`` brings to one core by solving wide ones as one stack, bitwise.
+``limit_integrate``
 keeps its own sweep loop: its red term and stopping rule are not the DAG's.
 
 Stage solves delegate to the damped Newton iteration; flux bundles are cached
@@ -205,6 +208,92 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
 
 
+def _norms(R: Array) -> Array:
+    # per row, bitwise newton._norm; (R * R).sum(1) is not
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def _compress(keep: Array, lanes: list, *rows):
+    """The lanes under the mask ``keep``, and their rows of each array."""
+    if keep.all():
+        return lanes, rows
+    return [i for i, k in zip(lanes, keep.tolist()) if k], [x[keep] for x in rows]
+
+
+def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
+    """``_solve_stage`` for B lanes at once on the callbacks' stacked forms:
+    lane i solves w - a[i] Phi_I(w) + a[i]^2/2 dPhi_I(w) = rhs[i] from the
+    (state, bundle) ``starts[i]``; returns one (w, bundle, result) per lane.
+
+    Each row, a lane still iterating, takes ``newton.solve``'s steps, so it
+    gets bitwise ``_solve_stage``'s results (matmul operands stay contiguous:
+    its bits depend on layout). A NaN/Inf or a pivot below the floor (the
+    entry at d = 1, ``_lu_solve_checked`` per lane at d > 1) in any lane
+    sends all through ``_solve_stage``, which raises the first lane's error.
+    """
+    try:
+        return _stacked_newton(p, a, rhs, starts, ncfg)
+    except (FloatingPointError, _newton.SingularJacobianError):
+        return [_solve_stage(p, a_i, rhs_i, StageSource(*start), ncfg)
+                for a_i, rhs_i, start in zip(a, rhs, starts)]
+
+
+def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
+    phi_e, phi_i, jac_e, jac_i, dphi_i_jac = (getattr(p, cb).stack for cb in _CALLBACKS)
+    B, d = rhs.shape
+    out, lanes = [None] * B, list(range(B))
+    a = a[:, None]
+    h = 0.5 * a * a
+    W = np.array([w for w, _ in starts])
+    R = (W - a * np.array([f.phi_i for _, f in starts])
+         + h * np.array([f.dphi_i for _, f in starts]) - rhs)
+    rn = _norms(R)
+    if not np.isfinite(rn).all():
+        raise FloatingPointError
+    hist, damp = [[x] for x in rn.tolist()], [[] for _ in range(B)]
+    for i in np.flatnonzero(rn <= ncfg.abs_tol).tolist():
+        w, f = starts[i]
+        out[i] = w, f, NewtonResult(w, 0, hist[i][0], "absolute", hist[i], damp[i])
+    lanes, (W, R, rn, a, h, rhs) = _compress(rn > ncfg.abs_tol, lanes, W, R, rn, a, h, rhs)
+    rn0, theta = rn, np.full(len(lanes), ncfg.damping_init)
+    JI = jac_i(W) if lanes else None  # later Newton matrices reuse the residual's
+    for it in range(1, ncfg.max_iter + 1):
+        if not lanes:
+            break
+        J = _eye(d) - a[:, :, None] * JI + h[:, :, None] * dphi_i_jac(W)
+        if not np.isfinite(J).all() or d == 1 and (np.abs(J) < _newton._PIVOT_FLOOR).any():
+            raise FloatingPointError
+        delta = (-R / J[:, 0] if d == 1 else
+                 np.array([_newton._lu_solve_checked(J_i, -r) for J_i, r in zip(J, R)]))
+        W = W + theta[:, None] * delta
+        FE, FI, JI = phi_e(W), phi_i(W), jac_i(W)
+        FT = FE + FI
+        DI = (JI @ FT[:, :, None])[:, :, 0]
+        R = W - a * FI + h * DI - rhs
+        new = _norms(R)
+        if not np.isfinite(new).all():
+            raise FloatingPointError
+        theta = np.where(new > ncfg.growth_threshold * rn, theta * ncfg.damping_factor, theta)
+        for i, th, r in zip(lanes, theta.tolist(), new.tolist()):
+            damp[i].append(th)
+            hist[i].append(r)
+        rn = new
+        by_abs, by_rel = rn <= ncfg.abs_tol, rn / rn0 <= ncfg.rel_tol
+        done = by_abs | by_rel | (it == ncfg.max_iter)
+        if done.any():
+            DE = (jac_e(W[done]) @ FT[done][:, :, None])[:, :, 0]
+            if not np.isfinite(np.concatenate([FE[done], FI[done], DE, DI[done]])).all():
+                raise FloatingPointError
+            for m, j in enumerate(np.flatnonzero(done).tolist()):
+                i, w = lanes[j], W[j]
+                why = "absolute" if by_abs[j] else "relative" if by_rel[j] else "iter_cap"
+                f = FluxBundle(phi_e=FE[j], phi_i=FI[j], dphi_e=DE[m], dphi_i=DI[j])
+                out[i] = w, f, NewtonResult(w, it, hist[i][-1], why, hist[i], damp[i])
+            lanes, (W, R, rn, rn0, theta, a, h, rhs, JI) = _compress(
+                ~done, lanes, W, R, rn, rn0, theta, a, h, rhs, JI)
+    return out
+
+
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                     src: StageSource, ncfg: NewtonConfig):
     """All predictor stages from one source; returns (states, bundles, results).
@@ -286,16 +375,59 @@ class Lane:
                                cap_hits))
 
 
+# Stage solves a wavefront needs to be stacked: against one _solve_stage per
+# lane the kernel ran 0.43-0.71x as fast at 1 lane, 0.98-1.13x at 3 and
+# 1.13-1.94x at 6-9 (scalar_pow, pareschi_russo, arenstorf; 2-vCPU VM).
+_MIN_STACK = 4
+_CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
+
+
 def _reads_same(red_w: Array, blue_w, read) -> bool:
     """Whether a correction block's red state and blue states are the very
     objects another block ``read`` (its (red state, blue states, results))."""
     return red_w is read[0] and all(a is b for a, b in zip(blue_w, read[1]))
 
 
+def _stacked_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks,
+                    ncfg: NewtonConfig, start: str) -> list:
+    """Jacobi corrections as (red term, blue (states, bundles)), then maybe a
+    predictor as (source, None), solved by one ``_solve_stages``; returns
+    bitwise what ``correction_block`` and ``predictor_block`` return."""
+    m = tab.s - 1
+    corr = [(red, blue) for red, blue in blocks if blue is not None]
+    a, rhs, starts = [np.full(len(corr) * m, dt)], [], []
+    with np.errstate(all="ignore"):
+        if corr:
+            fss = [fs for _, (_, fs) in corr]
+            phis = np.array([[f.phi for f in fs] for fs in fss])
+            dphis = np.array([[f.dphi for f in fs] for fs in fss])
+            quad = (dt * (tab.b1[1:, None, :] @ phis[:, None])[:, :, 0]
+                    + dt * dt * (tab.b2[1:, None, :] @ dphis[:, None])[:, :, 0])
+            reds = np.array([red.w for red, _ in corr])[:, None]
+            rhs.append((reds - dt * np.array([[f.phi_i for f in fs[1:]] for fs in fss])
+                        + 0.5 * dt * dt * np.array([[f.dphi_i for f in fs[1:]] for fs in fss])
+                        + quad).reshape(-1, p.dim))
+            for red, (ws, fs) in corr:
+                starts += (list(zip(ws[1:], fs[1:])) if start == "hierarchical"
+                           else [(red.w, red.f)] * m)
+        if len(corr) < len(blocks):
+            src = blocks[-1][0]
+            a.append(tab.c[1:] * dt)
+            rhs.append(src.w + a[-1][:, None] * src.f.phi_e
+                       + (0.5 * a[-1] * a[-1])[:, None] * src.f.dphi_e)
+            starts += [(src.w, src.f)] * m
+        solved = _solve_stages(p, np.concatenate(a), np.concatenate(rhs), starts, ncfg)
+    outs = []
+    for b, (src, _) in enumerate(blocks):
+        ws, fs, results = zip(*solved[b * m:(b + 1) * m])
+        outs.append(([src.w, *ws], [src.f, *fs], [_copy_result(src.w), *results]))
+    return outs
+
+
 def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
                receive=None, send=None, keep_traces: bool = False) -> list:
-    """Compute Block(n, k) for every step n and every k in ``iterates``, in
-    (n, k) order; return one Lane per iterate.
+    """Compute Block(n, k) for every step n and every k in ``iterates``, one
+    wavefront of the DAG at a time; return one Lane per iterate.
 
     A block reads what ``dependencies`` names: the stages of Block(n, k-1)
     (the blue input, k >= 1) and the last stage of its step n-1 source (the
@@ -303,7 +435,9 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
     every block of step -1. Blocks of ``iterates`` are read from this loop's
     own store, every other input through ``receive(block)``, which returns its
     (states, bundles); of a step n-1 source only the last stage is read.
-    ``send(block, states, bundles)`` sees each block once it is done.
+    ``send(block, states, bundles)`` sees each block once its wavefront, the
+    blocks with 2n + k = t (n + k = t for LO), is done; a pipeline worker
+    meets one block per wavefront, in (n, k) order.
 
     A block's outputs are a pure function of its input states: every bundle
     in the loop is ``eval_bundle`` of its own state (the ``_solve_stage``
@@ -313,10 +447,17 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
     a correction this loop computes, the loop then hands out Block(n, k-1)'s
     states, bundles and Newton results again instead of solving, which is
     bitwise what the solve would give.
+
+    A wavefront's blocks left to solve run one by one, or, as Jacobi sweeps
+    (Alg1, LO) of a problem with stacked callbacks holding ``_MIN_STACK`` or
+    more stage solves, through one ``_stacked_blocks`` call: the same bits.
     """
     tab = builtin(cfg.q)
     dt = p.t_end / cfg.n_steps
     gauss_seidel = cfg.variant == "Alg2"
+    stackable = not gauss_seidel and all(hasattr(getattr(p, cb), "stack")
+                                         for cb in _CALLBACKS)
+    slope = 1 if cfg.variant == "LO" else 2
     back = {k: next(d.k for d in dependencies(Block(1, k), cfg.variant, cfg.kmax)
                     if d.n == 0)
             for k in iterates}
@@ -324,31 +465,47 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
     if cfg.kmax in lanes:
         top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
         top[0] = seed.w
-    prev, cur = {}, {}  # k -> (states, bundles) of its block at step n-1, n
-    for n in range(cfg.n_steps):
-        read = {}  # k -> (red state, blue states, results) of a correction at step n
-        for k in iterates:
+    by_step = sorted(lanes, reverse=True)  # a wavefront's blocks, earliest step first
+    done = {}  # (n, k) -> (states, bundles, a correction's read), last two wavefronts
+    for t in range(slope * (cfg.n_steps - 1) + cfg.kmax + 1):
+        front = []  # (n, k, source or red term, blue input, outputs of a skip)
+        for k in by_step:
+            n, off = divmod(t - k, slope)
+            if off or not 0 <= n < cfg.n_steps:
+                continue
             j = back[k]
             if n == 0:
                 src = seed
             else:
-                ws, fs = prev[j] if j in lanes else receive(Block(n - 1, j))
+                ws, fs = done[n - 1, j][:2] if j in lanes else receive(Block(n - 1, j))
                 src = StageSource(ws[-1], fs[-1])
-            if k == 0:
-                ws, fs, results = predictor_block(p, tab, dt, src, cfg.newton)
-            else:
-                blue = cur[k - 1] if k - 1 in lanes else receive(Block(n, k - 1))
-                if k - 1 in read and _reads_same(src.w, blue[0], read[k - 1]):
-                    (ws, fs), results = blue, read[k - 1][2]
+            blue = read = outputs = None
+            if k:
+                if k - 1 in lanes:
+                    *blue, read = done[n, k - 1]
                 else:
-                    ws, fs, results = correction_block(p, tab, dt, src, *blue, gauss_seidel,
-                                                       cfg.newton, cfg.corrector_start)
-                read[k] = src.w, blue[0], results
-            cur[k] = ws, fs
+                    blue = receive(Block(n, k - 1))
+                if read is not None and _reads_same(src.w, blue[0], read):
+                    outputs = *blue, read[2]
+            front.append((n, k, src, blue, outputs))
+        todo = [b for b in front if b[4] is None]
+        if stackable and len(todo) * (tab.s - 1) >= _MIN_STACK:
+            outs = _stacked_blocks(p, tab, dt, [(b[2], b[3]) for b in todo], cfg.newton,
+                                   cfg.corrector_start)
+        else:
+            outs = [predictor_block(p, tab, dt, src, cfg.newton) if blue is None
+                    else correction_block(p, tab, dt, src, *blue, gauss_seidel,
+                                          cfg.newton, cfg.corrector_start)
+                    for _, _, src, blue, _ in todo]
+        outs = iter(outs)
+        for n, k, src, blue, outputs in front:
+            ws, fs, results = outputs or next(outs)
+            done[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results)
             if send is not None:
                 send(Block(n, k), ws, fs)
             lanes[k].add(n, ws[-1], results)
-        prev, cur = cur, {}
+        for key in [key for key in done if slope * key[0] + key[1] < t - 1]:
+            del done[key]
     return list(lanes.values())
 
 

@@ -103,25 +103,20 @@ def test_parallel_bitwise_on_a_stiff_problem():
                           integrate_parallel(p, cfg).updates)
 
 
-def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch):
+def test_parallel_matches_serial_bitwise_where_workers_skip(computed_corrections):
     # Workers of iterates {2p, 2p+1}, p >= 1, reuse Block(n, 2p) for
     # Block(n, 2p+1) once the sweeps sit at their fixed point.
-    import hbpc.solver as solver_mod
     from hbpc.newton import NewtonConfig
 
     p = scalar_pow()
     cfg = SolverConfig(variant="Alg1", q=8, kmax=9, n_steps=40,
                        newton=NewtonConfig(rel_tol=1e-13, abs_tol=1e-15))
-    calls = []
-    block = solver_mod.correction_block
-    monkeypatch.setattr(solver_mod, "correction_block",
-                        lambda *args: calls.append(1) or block(*args))
     ser = integrate(p, cfg)
-    serial_calls = len(calls)
-    calls.clear()
+    serial = sum(computed_corrections)
+    computed_corrections.clear()
     par = integrate_parallel(p, cfg)
     # a worker skips only where iterate k-1 is its own, so less than serially
-    assert serial_calls < len(calls) < cfg.kmax * cfg.n_steps
+    assert serial < sum(computed_corrections) < cfg.kmax * cfg.n_steps
     assert ser.updates.tobytes() == par.updates.tobytes()
     assert ser.errors.tobytes() == par.errors.tobytes()
     assert np.array_equal(ser.newton_per_iterate, par.newton_per_iterate)

@@ -539,17 +539,13 @@ def test_fixed_point_skip_is_bitwise_neutral(case, monkeypatch):
     _assert_runs_bitwise_equal(skipped, computed)
 
 
-def test_fixed_point_skip_fires(monkeypatch):
+def test_fixed_point_skip_fires(monkeypatch, computed_corrections):
     import hbpc.solver as solver_mod
 
     p, cfg = _skip_cases()["scalar_pow-Alg1"]
-    calls = []
-    block = solver_mod.correction_block
-    monkeypatch.setattr(solver_mod, "correction_block",
-                        lambda *args: calls.append(1) or block(*args))
     integrate(p, cfg)
-    assert len(calls) == 529  # of kmax * n_steps = 720
-    calls.clear()
+    assert sum(computed_corrections) == 529  # of kmax * n_steps = 720
+    computed_corrections.clear()
     monkeypatch.setattr(solver_mod, "_reads_same", lambda *args: False)
     integrate(p, cfg)
-    assert len(calls) == cfg.kmax * cfg.n_steps
+    assert sum(computed_corrections) == cfg.kmax * cfg.n_steps
