@@ -466,9 +466,10 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
         top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
         top[0] = seed.w
     by_step = sorted(lanes, reverse=True)  # a wavefront's blocks, earliest step first
-    done = {}  # (n, k) -> (states, bundles, a correction's read), last two wavefronts
+    prev = last = {}  # (n, k) -> (states, bundles, what a correction read)
     for t in range(slope * (cfg.n_steps - 1) + cfg.kmax + 1):
-        front = []  # (n, k, source or red term, blue input, outputs of a skip)
+        done = {**prev, **last}  # the blocks of wavefronts t-2 and t-1, all it reads
+        front, cur = [], {}  # front: (n, k, source or red term, blue input, outputs of a skip)
         for k in by_step:
             n, off = divmod(t - k, slope)
             if off or not 0 <= n < cfg.n_steps:
@@ -500,12 +501,11 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
         outs = iter(outs)
         for n, k, src, blue, outputs in front:
             ws, fs, results = outputs or next(outs)
-            done[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results)
+            cur[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results)
             if send is not None:
                 send(Block(n, k), ws, fs)
             lanes[k].add(n, ws[-1], results)
-        for key in [key for key in done if slope * key[0] + key[1] < t - 1]:
-            del done[key]
+        prev, last = last, cur
     return list(lanes.values())
 
 
