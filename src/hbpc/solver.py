@@ -25,8 +25,8 @@ state objects as its predecessor, and ``run_blocks`` hands out the
 predecessor's outputs instead of recomputing them (the fixed-point skip).
 A wavefront's blocks are independent, the method's time parallelism, which
 ``run_blocks`` brings to one core by solving wide ones as one stack, bitwise.
-``limit_integrate``
-keeps its own sweep loop: its red term and stopping rule are not the DAG's.
+``limit_integrate`` keeps its own sweep loop: its red term and stopping rule
+are not the DAG's.
 
 Stage solves delegate to the damped Newton iteration; flux bundles are cached
 per stage and reused everywhere so a pipelined execution of the same blocks
@@ -230,6 +230,7 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
     its bits depend on layout). A NaN/Inf or a pivot below the floor (the
     entry at d = 1, ``_lu_solve_checked`` per lane at d > 1) in any lane
     sends all through ``_solve_stage``, which raises the first lane's error.
+    Callers run it under ``np.errstate(all="ignore")``.
     """
     try:
         return _stacked_newton(p, a, rhs, starts, ncfg)
