@@ -4,17 +4,22 @@
 Each checkout's ``.perfbench_out/`` holds one ``<workload>-seed<s>-trace<t>.json``
 per ``perfbench/run.py`` call. Per workload this collects:
 
-- ``steps_per_s`` of the ``--trace 0`` runs: median, quartiles, the values and
-  their seeds, for the parent and for the change, and the pairs (same seed)
-  in which the change is faster;
+- ``steps_per_s`` of the ``--trace 0`` runs at the ``--seeds`` given:
+  median, quartiles, the values and their seeds, for the parent and for the
+  change, and the pairs (same seed) in which the change is faster; a
+  checkout that lacks one of those seeds for a workload is refused, and runs
+  at other seeds are left out;
 - ``err_digits``, ``peak_rss_mb`` and ``setup_s`` of those runs, and how many
   operations were attempted and failed;
 - the per-layer metrics of the ``--trace 1`` runs (the median over runs when
-  there are several).
+  there are several), and beside them per-step totals: each ``*_per_solve``
+  metric times ``newton.solves_per_step`` (Newton iterations, LU
+  factorizations, callbacks, microseconds per step), so that a change which
+  removes cheap stage solves does not read as a costlier layer.
 
 Usage:
 
-    python3 scripts/bench_summary.py PARENT CHANGE --label fixed_point_skip
+    python3 scripts/bench_summary.py PARENT CHANGE --label fixed_point_skip --seeds 501-510
 
 writes ``BENCH_fixed_point_skip.json`` in the current directory, where
 PARENT and CHANGE are checkouts in which ``perfbench/run.py`` has been run.
@@ -30,14 +35,39 @@ import sys
 END_TO_END = ("steps_per_s", "err_digits", "peak_rss_mb", "setup_s")
 
 
-def load_runs(checkout: str) -> list:
+def parse_seeds(spec: str) -> list:
+    """Seeds from ``501-510`` or ``1,3,7-9``."""
+    seeds = set()
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.update(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError(f"no seeds in {spec!r}")
+    return sorted(seeds)
+
+
+def load_runs(checkout: str, seeds: list) -> list:
+    """The traced runs and the ``--trace 0`` runs at ``seeds`` of a checkout."""
     runs = []
     for path in sorted(glob.glob(os.path.join(checkout, ".perfbench_out", "*.json"))):
         with open(path) as fh:
-            runs.append(json.load(fh))
+            run = json.load(fh)
+        if run["notes"]["trace"] or run["notes"]["seed"] in seeds:
+            runs.append(run)
     if not runs:
         raise SystemExit(f"bench_summary: no perfbench results under {checkout}")
     return runs
+
+
+def check_seeds(checkout: str, runs: list, workloads: list, seeds: list) -> None:
+    """Exit unless ``runs`` hold a ``--trace 0`` run of each workload at each seed."""
+    for workload in workloads:
+        have = {r["notes"]["seed"] for r in runs
+                if r["notes"]["workload"] == workload and r["notes"]["trace"] == 0}
+        missing = sorted(set(seeds) - have)
+        if missing:
+            raise SystemExit(f"bench_summary: {checkout} has no {workload} run "
+                             f"(--trace 0) at seeds {missing}")
 
 
 def spread(values: list) -> dict:
@@ -66,6 +96,11 @@ def side_summary(runs: list, workload: str) -> dict:
             name: statistics.median(r["result"]["metrics"][name]["value"] for r in traced)
             for name in names}
         out["per_layer_seeds"] = [r["notes"]["seed"] for r in traced]
+        per_step = out["per_layer"].get("newton.solves_per_step")
+        if per_step is not None:
+            out["per_step"] = {name[:-len("_per_solve")] + "_per_step": value * per_step
+                               for name, value in out["per_layer"].items()
+                               if name.endswith("_per_solve")}
     return out
 
 
@@ -75,12 +110,19 @@ def main() -> int:
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    ap.add_argument("--seeds", required=True, type=parse_seeds,
+                    help="seeds of the --trace 0 runs to pair, e.g. 501-510")
     args = ap.parse_args()
 
-    parent, change = load_runs(args.parent), load_runs(args.change)
+    parent, change = load_runs(args.parent, args.seeds), load_runs(args.change, args.seeds)
+    timed = sorted({r["notes"]["workload"] for r in parent + change
+                    if r["notes"]["trace"] == 0})
+    for checkout, runs in ((args.parent, parent), (args.change, change)):
+        check_seeds(checkout, runs, timed, args.seeds)
     notes = change[0]["notes"]
     summary = {
         "label": args.label,
+        "seeds": args.seeds,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
         "machine": {key: notes[key] for key in ("cpu_model", "nproc", "python",
                                                 "numpy", "scipy")},

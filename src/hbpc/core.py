@@ -10,7 +10,7 @@ its split parts are always formed as Jacobian-vector products
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,24 +94,26 @@ class SplitProblem:
             self.jac_i = lambda w: fd_jacobian(fi, w)
 
 
-@dataclass(frozen=True)
 class FluxBundle:
     """Phi_E, Phi_I and their solution-derivatives dPhi_E, dPhi_I at one state.
 
     The sums ``phi`` and ``dphi`` are formed once, on construction: every
-    correction sweep reads them once per quadrature that uses the bundle.
+    correction sweep reads them once per quadrature that uses the bundle. A
+    caller that already holds ``phi_e + phi_i`` or ``dphi_e + dphi_i`` hands
+    it in instead.
     """
 
-    phi_e: Array
-    phi_i: Array
-    dphi_e: Array
-    dphi_i: Array
-    phi: Array = field(init=False, repr=False, compare=False)
-    dphi: Array = field(init=False, repr=False, compare=False)
+    __slots__ = ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", self.phi_e + self.phi_i)
-        object.__setattr__(self, "dphi", self.dphi_e + self.dphi_i)
+    def __init__(self, phi_e: Array, phi_i: Array, dphi_e: Array, dphi_i: Array,
+                 phi: Array | None = None, dphi: Array | None = None):
+        self.phi_e, self.phi_i, self.dphi_e, self.dphi_i = phi_e, phi_i, dphi_e, dphi_i
+        self.phi = phi_e + phi_i if phi is None else phi
+        self.dphi = dphi_e + dphi_i if dphi is None else dphi
+
+    def __repr__(self):
+        return (f"FluxBundle(phi_e={self.phi_e!r}, phi_i={self.phi_i!r}, "
+                f"dphi_e={self.dphi_e!r}, dphi_i={self.dphi_i!r})")
 
 
 def all_finite(*arrays: Array) -> bool:
@@ -132,4 +134,4 @@ def eval_bundle(p: SplitProblem, w: Array) -> FluxBundle:
         di = np.asarray(p.jac_i(w), dtype=float) @ ftot
     if not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
-    return FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di)
+    return FluxBundle(fe, fi, de, di, ftot)

@@ -36,6 +36,7 @@ performs bit-identical floating-point work.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -205,7 +206,7 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     de = p.jac_e(w) @ ftot
     if not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
-    return w, FluxBundle(phi_e=fe, phi_i=fi, dphi_e=de, dphi_i=di), res
+    return w, FluxBundle(fe, fi, de, di, ftot), res
 
 
 def _norms(R: Array) -> Array:
@@ -213,17 +214,13 @@ def _norms(R: Array) -> Array:
     return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
-def _compress(keep: Array, lanes: list, *rows):
-    """The lanes under the mask ``keep``, and their rows of each array."""
-    if keep.all():
-        return lanes, rows
-    return [i for i, k in zip(lanes, keep.tolist()) if k], [x[keep] for x in rows]
-
-
-def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
+def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
+                  stacks=None):
     """``_solve_stage`` for B lanes at once on the callbacks' stacked forms:
     lane i solves w - a[i] Phi_I(w) + a[i]^2/2 dPhi_I(w) = rhs[i] from the
     (state, bundle) ``starts[i]``; returns one (w, bundle, result) per lane.
+    ``stacks``, when given, holds the (B, d) stacks of the starts' states,
+    Phi_I and dPhi_I.
 
     Each row, a lane still iterating, takes ``newton.solve``'s steps, so it
     gets bitwise ``_solve_stage``'s results (matmul operands stay contiguous:
@@ -233,65 +230,89 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
     Callers run it under ``np.errstate(all="ignore")``.
     """
     try:
-        return _stacked_newton(p, a, rhs, starts, ncfg)
+        return _stacked_newton(p, a, rhs, starts, ncfg, stacks)
     except (FloatingPointError, _newton.SingularJacobianError):
         return [_solve_stage(p, a_i, rhs_i, StageSource(*start), ncfg)
                 for a_i, rhs_i, start in zip(a, rhs, starts)]
 
 
-def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
+def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
+                    stacks):
+    # Per-lane norms, dampings and verdicts are Python floats, bitwise numpy's.
+    # A finite sum has finite terms: a finite J.sum() passes J, a finite sum
+    # of phi + dphi the four bundle parts; other sums fall to the exact check.
     phi_e, phi_i, jac_e, jac_i, dphi_i_jac = (getattr(p, cb).stack for cb in _CALLBACKS)
-    B, d = rhs.shape
-    out, lanes = [None] * B, list(range(B))
+    d = rhs.shape[1]
+    W, PI, DPI = stacks or (np.array([w for w, _ in starts]),
+                            np.array([f.phi_i for _, f in starts]),
+                            np.array([f.dphi_i for _, f in starts]))
     a = a[:, None]
     h = 0.5 * a * a
-    W = np.array([w for w, _ in starts])
-    R = (W - a * np.array([f.phi_i for _, f in starts])
-         + h * np.array([f.dphi_i for _, f in starts]) - rhs)
-    rn = _norms(R)
-    if not np.isfinite(rn).all():
+    R = W - a * PI + h * DPI - rhs
+    rn = _norms(R).tolist()
+    if not all(map(math.isfinite, rn)):
         raise FloatingPointError
-    hist, damp = [[x] for x in rn.tolist()], [[] for _ in range(B)]
-    for i in np.flatnonzero(rn <= ncfg.abs_tol).tolist():
-        w, f = starts[i]
-        out[i] = w, f, NewtonResult(w, 0, hist[i][0], "absolute", hist[i], damp[i])
-    lanes, (W, R, rn, a, h, rhs) = _compress(rn > ncfg.abs_tol, lanes, W, R, rn, a, h, rhs)
-    rn0, theta = rn, np.full(len(lanes), ncfg.damping_init)
-    JI = jac_i(W) if lanes else None  # later Newton matrices reuse the residual's
+    out, hist, damp = [None] * len(rn), [[r] for r in rn], [[] for _ in rn]
+    lanes = []
+    for i, r in enumerate(rn):
+        if r <= ncfg.abs_tol:
+            w, f = starts[i]
+            out[i] = w, f, NewtonResult(w, 0, r, "absolute", hist[i], damp[i])
+        else:
+            lanes.append(i)
+    if not lanes:
+        return out
+    if len(lanes) < len(rn):
+        W, R, a, h, rhs = (x.take(lanes, 0) for x in (W, R, a, h, rhs))
+    th, theta = [ncfg.damping_init] * len(rn), None
+    a3, h3 = a[:, :, None], h[:, :, None]
+    JI = jac_i(W)  # later Newton matrices reuse the residual's
     for it in range(1, ncfg.max_iter + 1):
-        if not lanes:
-            break
-        J = _eye(d) - a[:, :, None] * JI + h[:, :, None] * dphi_i_jac(W)
-        if not np.isfinite(J).all() or d == 1 and (np.abs(J) < _newton._PIVOT_FLOOR).any():
+        if theta is None:  # after a compress or a damping
+            theta = np.array([th[i] for i in lanes])[:, None]
+        J = _eye(d) - a3 * JI + h3 * dphi_i_jac(W)
+        if (not math.isfinite(J.sum()) and not np.isfinite(J).all()
+                or d == 1 and min(map(abs, J.ravel().tolist())) < _newton._PIVOT_FLOOR):
             raise FloatingPointError
         delta = (-R / J[:, 0] if d == 1 else
                  np.array([_newton._lu_solve_checked(J_i, -r) for J_i, r in zip(J, R)]))
-        W = W + theta[:, None] * delta
+        W = W + theta * delta
         FE, FI, JI = phi_e(W), phi_i(W), jac_i(W)
         FT = FE + FI
         DI = (JI @ FT[:, :, None])[:, :, 0]
         R = W - a * FI + h * DI - rhs
-        new = _norms(R)
-        if not np.isfinite(new).all():
+        new = _norms(R).tolist()
+        if not all(map(math.isfinite, new)):
             raise FloatingPointError
-        theta = np.where(new > ncfg.growth_threshold * rn, theta * ncfg.damping_factor, theta)
-        for i, th, r in zip(lanes, theta.tolist(), new.tolist()):
-            damp[i].append(th)
+        done, keep = [], []
+        for j, (i, r) in enumerate(zip(lanes, new)):
+            if r > ncfg.growth_threshold * hist[i][-1]:
+                th[i] *= ncfg.damping_factor
+                theta = None
+            damp[i].append(th[i])
             hist[i].append(r)
-        rn = new
-        by_abs, by_rel = rn <= ncfg.abs_tol, rn / rn0 <= ncfg.rel_tol
-        done = by_abs | by_rel | (it == ncfg.max_iter)
-        if done.any():
-            DE = (jac_e(W[done]) @ FT[done][:, :, None])[:, :, 0]
-            if not np.isfinite(np.concatenate([FE[done], FI[done], DE, DI[done]])).all():
+            why = ("absolute" if r <= ncfg.abs_tol else
+                   "relative" if r / hist[i][0] <= ncfg.rel_tol else
+                   "iter_cap" if it == ncfg.max_iter else None)
+            (keep if why is None else done).append((j, why))
+        if done:
+            sel = [j for j, _ in done]
+            Wd, FTd, DId = (W, FT, DI) if not keep else (x.take(sel, 0) for x in (W, FT, DI))
+            DE = (jac_e(Wd) @ FTd[:, :, None])[:, :, 0]
+            DP = DE + DId
+            if not math.isfinite((FTd + DP).sum()) and not all_finite(
+                    FE.take(sel, 0), FI.take(sel, 0), DE, DId):
                 raise FloatingPointError
-            for m, j in enumerate(np.flatnonzero(done).tolist()):
+            for m, (j, why) in enumerate(done):
                 i, w = lanes[j], W[j]
-                why = "absolute" if by_abs[j] else "relative" if by_rel[j] else "iter_cap"
-                f = FluxBundle(phi_e=FE[j], phi_i=FI[j], dphi_e=DE[m], dphi_i=DI[j])
+                f = FluxBundle(FE[j], FI[j], DE[m], DI[j], FT[j], DP[m])
                 out[i] = w, f, NewtonResult(w, it, hist[i][-1], why, hist[i], damp[i])
-            lanes, (W, R, rn, rn0, theta, a, h, rhs, JI) = _compress(
-                ~done, lanes, W, R, rn, rn0, theta, a, h, rhs, JI)
+            if not keep:
+                break
+            sel = [j for j, _ in keep]
+            lanes = [lanes[j] for j in sel]
+            W, R, a, h, rhs, JI = (x.take(sel, 0) for x in (W, R, a, h, rhs, JI))
+            a3, h3, theta = a[:, :, None], h[:, :, None], None
     return out
 
 
@@ -360,12 +381,10 @@ class Lane:
     updates: Array | None = None  # top iterate only: w^0 and its last stages
     steps: list | None = None     # traces only: (iters, residual norms, last w, cap hits)
 
-    def add(self, n: int, last_w: Array, results, solved=None) -> None:
-        """Tally step n's block: Newton iterations and cap hits of ``solved``
-        (default ``results``), residual norms of ``results``."""
-        solved = results if solved is None else solved
-        iters = sum(r.iters for r in solved)
-        cap_hits = sum(r.converged_by == "iter_cap" for r in solved)
+    def add(self, n: int, last_w: Array, results, tally) -> None:
+        """Tally step n's block: ``tally`` is (Newton iterations, cap hits)
+        of its solves, ``results`` gives the residual norms of a trace."""
+        iters, cap_hits = tally
         self.newton += iters
         self.cap_hits += cap_hits
         self.last_w = last_w
@@ -376,9 +395,16 @@ class Lane:
                                cap_hits))
 
 
+def _tally(results) -> tuple:
+    """(Newton iterations, iteration-cap hits) over ``results``."""
+    return (sum(r.iters for r in results),
+            sum(r.converged_by == "iter_cap" for r in results))
+
+
 # Stage solves a wavefront needs to be stacked: against one _solve_stage per
-# lane the kernel ran 0.43-0.71x as fast at 1 lane, 0.98-1.13x at 3 and
-# 1.13-1.94x at 6-9 (scalar_pow, pareschi_russo, arenstorf; 2-vCPU VM).
+# lane the kernel ran 0.44-0.77x as fast at 1 lane, 0.84-1.67x at 3, 0.82-1.62x
+# at 4 and 1.13-3.29x at 6-9 (scalar_pow, pareschi_russo, arenstorf: lanes of
+# Alg1 q=8 kmax=9 runs; 2-vCPU VM). Only arenstorf is slower at 3 and 4.
 _MIN_STACK = 4
 _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
 
@@ -394,30 +420,38 @@ def _stacked_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, block
     """Jacobi corrections as (red term, blue (states, bundles)), then maybe a
     predictor as (source, None), solved by one ``_solve_stages``; returns
     bitwise what ``correction_block`` and ``predictor_block`` return."""
-    m = tab.s - 1
+    m, d = tab.s - 1, p.dim
     corr = [(red, blue) for red, blue in blocks if blue is not None]
-    a, rhs, starts = [np.full(len(corr) * m, dt)], [], []
+    if start == "hierarchical":
+        starts = [(w, f) for _, (ws, fs) in corr for w, f in zip(ws[1:], fs[1:])]
+    else:
+        starts = [(red.w, red.f) for red, _ in corr for _ in range(m)]
+    src = blocks[-1][0] if len(corr) < len(blocks) else None
+    starts += [(src.w, src.f)] * m if src else []
+    stacks = [np.array([w for w, _ in starts]), np.array([f.phi_i for _, f in starts]),
+              np.array([f.dphi_i for _, f in starts])]
+    a, rhs = [np.full(len(corr) * m, dt)], []
     with np.errstate(all="ignore"):
         if corr:
-            fss = [fs for _, (_, fs) in corr]
-            phis = np.array([[f.phi for f in fs] for fs in fss])
-            dphis = np.array([[f.dphi for f in fs] for fs in fss])
+            blue = [f for _, (_, fs) in corr for f in fs]
+            phis = np.array([f.phi for f in blue]).reshape(len(corr), tab.s, d)
+            dphis = np.array([f.dphi for f in blue]).reshape(len(corr), tab.s, d)
             quad = (dt * (tab.b1[1:, None, :] @ phis[:, None])[:, :, 0]
                     + dt * dt * (tab.b2[1:, None, :] @ dphis[:, None])[:, :, 0])
+            if start == "hierarchical":  # the blue bundles are the starts'
+                PI, DPI = stacks[1][:len(a[0])], stacks[2][:len(a[0])]
+            else:
+                blue = [f for _, (_, fs) in corr for f in fs[1:]]
+                PI, DPI = np.array([f.phi_i for f in blue]), np.array([f.dphi_i for f in blue])
             reds = np.array([red.w for red, _ in corr])[:, None]
-            rhs.append((reds - dt * np.array([[f.phi_i for f in fs[1:]] for fs in fss])
-                        + 0.5 * dt * dt * np.array([[f.dphi_i for f in fs[1:]] for fs in fss])
-                        + quad).reshape(-1, p.dim))
-            for red, (ws, fs) in corr:
-                starts += (list(zip(ws[1:], fs[1:])) if start == "hierarchical"
-                           else [(red.w, red.f)] * m)
-        if len(corr) < len(blocks):
-            src = blocks[-1][0]
+            rhs.append((reds - dt * PI.reshape(quad.shape)
+                        + 0.5 * dt * dt * DPI.reshape(quad.shape) + quad).reshape(-1, d))
+        if src is not None:
             a.append(tab.c[1:] * dt)
             rhs.append(src.w + a[-1][:, None] * src.f.phi_e
                        + (0.5 * a[-1] * a[-1])[:, None] * src.f.dphi_e)
-            starts += [(src.w, src.f)] * m
-        solved = _solve_stages(p, np.concatenate(a), np.concatenate(rhs), starts, ncfg)
+        solved = _solve_stages(p, np.concatenate(a), np.concatenate(rhs), starts, ncfg,
+                               stacks)
     outs = []
     for b, (src, _) in enumerate(blocks):
         ws, fs, results = zip(*solved[b * m:(b + 1) * m])
@@ -467,7 +501,7 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
         top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
         top[0] = seed.w
     by_step = sorted(lanes, reverse=True)  # a wavefront's blocks, earliest step first
-    prev = last = {}  # (n, k) -> (states, bundles, what a correction read)
+    prev = last = {}  # (n, k) -> (states, bundles, what a correction read, its tally)
     for t in range(slope * (cfg.n_steps - 1) + cfg.kmax + 1):
         done = {**prev, **last}  # the blocks of wavefronts t-2 and t-1, all it reads
         front, cur = [], {}  # front: (n, k, source or red term, blue input, outputs of a skip)
@@ -488,7 +522,7 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
                 else:
                     blue = receive(Block(n, k - 1))
                 if read is not None and _reads_same(src.w, blue[0], read):
-                    outputs = *blue, read[2]
+                    outputs = *blue, *read[2:]
             front.append((n, k, src, blue, outputs))
         todo = [b for b in front if b[4] is None]
         if stackable and len(todo) * (tab.s - 1) >= _MIN_STACK:
@@ -501,11 +535,12 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
                     for _, _, src, blue, _ in todo]
         outs = iter(outs)
         for n, k, src, blue, outputs in front:
-            ws, fs, results = outputs or next(outs)
-            cur[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results)
+            ws, fs, results, tally = outputs or (*next(outs), None)
+            tally = tally or _tally(results)
+            cur[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results, tally)
             if send is not None:
                 send(Block(n, k), ws, fs)
-            lanes[k].add(n, ws[-1], results)
+            lanes[k].add(n, ws[-1], results, tally)
         prev, last = last, cur
     return list(lanes.values())
 
@@ -599,7 +634,7 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
                 f"limit sweep at step {n} still changing by {delta:.3e} "
                 f"after {cfg.limit_max_sweeps} sweeps")
         sweeps_per_step.append(sweep)
-        lane.add(n, ws[-1], results, solved)
+        lane.add(n, ws[-1], results, _tally(solved))
         src = StageSource(ws[-1], fs[-1])
     return run_result(p, cfg, [lane], reference, time.perf_counter() - t0,
                       sweeps=sweeps_per_step)

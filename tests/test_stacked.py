@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbpc.core import NonFiniteError, SplitProblem, eval_bundle
+from hbpc.core import FluxBundle, NonFiniteError, SplitProblem, eval_bundle
 from hbpc.newton import NewtonConfig, SingularJacobianError
 from hbpc.problems import BUILTIN, make
 from hbpc.solver import SolverConfig, StageSource, _solve_stage, _solve_stages, integrate
@@ -342,3 +342,84 @@ def test_stacked_path_needs_all_five_stacks_and_jacobi_sweeps(monkeypatch):
     integrate(replace(p, dphi_i_jac=None), cfg)        # finite-difference Newton matrix
     integrate(replace(p, jac_i=lambda w: p.jac_i(w)), cfg)  # one callback wrapped
     assert not calls
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The lanes the stacked solve hands to ``_solve_stage`` one by one."""
+    import hbpc.solver as solver_mod
+
+    calls = []
+    one = solver_mod._solve_stage
+    monkeypatch.setattr(solver_mod, "_solve_stage",
+                        lambda *args: calls.append(1) or one(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_every_lane_retiring_in_one_round(name, fallbacks):
+    p = _problem(name)
+    w, a_i, _ = _LANES[name][1]
+    specs = [(np.array(w) * (1 + 0.01 * j), a_i * (1 + j), 1e-9) for j in range(5)]
+    results = _assert_parity(p, *_lanes(p, specs))
+    assert [r.iters for r in results] == [1] * 5
+    assert not fallbacks
+
+
+# scalar_pow lanes that take 1, 2, 3 and 4 Newton iterations (drawn like the
+# hypothesis test's), then _LANES' damped one
+_ROUNDS = [([1.4592203292675077], 0.00024033517408535087, [1.4607475537881056]),
+           ([0.7858013800881416], 0.00016433225301749045, [0.8833688807855182]),
+           ([1.3050029237453802], 0.17051522362866806, [1.0153255610421419]),
+           ([0.7714516045301015], 0.330068966503163, [0.564214437312191]),
+           _LANES["scalar_pow"][3]]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_lanes_retiring_over_several_rounds_one_damped(order, fallbacks):
+    p = _problem("scalar_pow")
+    results = _assert_parity(p, *_lanes(p, _ROUNDS[::order]))[::order]
+    assert [r.iters for r in results[:4]] == [1, 2, 3, 4]
+    assert results[4].iters > 4 and min(results[4].damping_history) < 1.0
+    assert [min(r.damping_history) for r in results[:4]] == [1.0] * 4
+    assert not fallbacks
+
+
+def test_an_infinite_newton_matrix_at_d1_raises_the_lane_error():
+    # J = 1 + a + a^2/2 * inf is +inf, not NaN, and its lane's residual is finite
+    p = _linear(1, [[-1.0]], dphi_i_jac=[[np.inf]])
+    start = _start(p, [1.0])
+    a, rhs = [0.1, 0.1], [_at_start_rhs(0.1, start), _at_start_rhs(0.1, start) + 0.5]
+    ref, exc = _per_lane(p, a, rhs, [start] * 2, NewtonConfig())
+    assert isinstance(exc, NonFiniteError) and len(ref) == 1
+    assert str(exc) == "non-finite Jacobian in Newton iteration"
+    _assert_parity(p, a, rhs, [start] * 2)
+
+
+@pytest.mark.parametrize("kind", ["jacobian", "bundle"])
+def test_finite_entries_whose_sum_overflows_pass(kind, fallbacks):
+    # three Newton matrices of 8.5e307 sum past the largest float, and so do
+    # a bundle's phi = 1e308 and dphi = 1e308; each entry is finite
+    if kind == "jacobian":
+        p = _linear(1, [[-1.0]], dphi_i_jac=[[1.7e308]])
+        a_i, ncfg = 1.0, NewtonConfig(max_iter=2)
+    else:
+        p = _linear(1, [[1.0]], phi_e=lambda w: np.array([1e308]))
+        a_i, ncfg = 1e-154, NewtonConfig()
+    start = _start(p, [1.0])
+    a = [a_i] * 3
+    rhs = [_at_start_rhs(a_i, start) + 1e-3 * (j + 1) for j in range(3)]
+    results = _assert_parity(p, a, rhs, [start] * 3, ncfg)
+    assert all(r.iters >= 1 for r in results)
+    assert not fallbacks
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_handed_in_sums_give_the_bundle_its_parts_give(name):
+    p = _problem(name)
+    bundles = [f for _, f, _ in _stacked(p, *_lanes(p, _LANES[name]), NewtonConfig())]
+    bundles.append(eval_bundle(p, p.w0))
+    for f in bundles:
+        ref = FluxBundle(phi_e=f.phi_e, phi_i=f.phi_i, dphi_e=f.dphi_e, dphi_i=f.dphi_i)
+        for field in FIELDS:
+            assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), field
