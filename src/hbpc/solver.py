@@ -403,7 +403,7 @@ def _tally(results) -> tuple:
 
 # Stage solves a wavefront needs to be stacked: against one _solve_stage per
 # lane the kernel ran 0.44-0.77x as fast at 1 lane, 0.84-1.67x at 3, 0.82-1.62x
-# at 4 and 1.13-3.29x at 6-9 (scalar_pow, pareschi_russo, arenstorf: lanes of
+# at 4 and 1.12-3.29x at 6-9 (scalar_pow, pareschi_russo, arenstorf: lanes of
 # Alg1 q=8 kmax=9 runs; 2-vCPU VM). Only arenstorf is slower at 3 and 4.
 _MIN_STACK = 4
 _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
