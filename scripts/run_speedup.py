@@ -2,9 +2,10 @@
 """Serial versus pipelined wallclock on the Pareschi-Russo problem.
 
 Asserts bitwise equality of the two results, then reports measured and
-theoretical speedups per step count. The executor is thread-based, so on
-CPython the measured numbers mostly demonstrate the determinism guarantee
-rather than true scaling; the theoretical column is the cycle-count bound.
+theoretical speedups per step count. The pipeline runs its workers in forked
+processes, at most one per usable CPU, so the measured column is real
+scaling, paid for with pipe hand-offs and with wavefronts too narrow to
+stack; the theoretical column is the cycle-count bound.
 """
 
 import argparse

@@ -274,8 +274,9 @@ def theoretical_speedup(variant: str, kmax: int, n: int) -> float:
 
 
 def run_speedup_study(cfg: StudyConfig) -> tuple:
-    """Serial-vs-parallel timing per N; hard-fails unless results match
-    bitwise. Wallclock columns here are real measurements by nature."""
+    """Serial-vs-parallel timing per N; hard-fails unless updates, final
+    stages, Newton counts and cap hits match. Wallclock columns here are real
+    measurements by nature."""
     p = _study_problem(cfg)
     ref = resolve_reference(p, cfg)
     reports = []
@@ -284,11 +285,13 @@ def run_speedup_study(cfg: StudyConfig) -> tuple:
         serial = integrate(p, scfg, reference=ref)
         parallel = integrate_parallel(p, scfg, workers=cfg.workers,
                                       reference=ref)
-        same_updates = np.array_equal(serial.updates, parallel.updates)
-        same_final = all(
-            np.array_equal(a, b)
-            for a, b in zip(serial.final_last_w, parallel.final_last_w))
-        if not (same_updates and same_final):
+        same = (np.array_equal(serial.updates, parallel.updates)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(serial.final_last_w, parallel.final_last_w))
+                and np.array_equal(serial.newton_per_iterate,
+                                   parallel.newton_per_iterate)
+                and serial.iter_cap_hits == parallel.iter_cap_hits)
+        if not same:
             raise MismatchedResultsError(
                 f"serial and parallel results differ at N={n}")
         reports.append(SpeedupReport(

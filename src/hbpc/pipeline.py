@@ -1,14 +1,22 @@
 """Pipelined parallel-in-time execution of the predictor-corrector sweeps.
 
-Each worker runs the serial solver's block loop, ``solver.run_blocks``, over
-the iterates it owns (``WorkerAssignment``) and receives the other inputs
-over channels. ``dependencies`` decides what travels: a block that another
-worker reads as its blue input (same step) goes out with all its stages, one
-read as a red term or predictor source (next step) with its last stage only,
-and not at all from the last step. For the high-order variants worker p owns
-iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``; the low-order
-variant runs one worker per iterate and only ships upward. Channels carry
-strictly increasing steps and hold at most 8 messages.
+Each logical worker runs the serial solver's block loop, ``solver.run_blocks``,
+over the iterates it owns (``WorkerAssignment``) and receives the other inputs
+from the workers that own them. ``dependencies`` decides what travels: a block
+that another worker reads as its blue input (same step) goes out with all its
+stages, one read as a red term or predictor source (next step) with its last
+stage only, and not at all from the last step. For the high-order variants
+worker p owns iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``;
+the low-order variant runs one worker per iterate and only ships upward.
+
+The workers run in min(workers, usable CPUs) forked processes, each one
+``run_blocks`` over the iterates of a run of consecutive workers. A block read
+in another process crosses one pipe per ordered process pair as one flat
+float64 buffer, with all stages if a reader there needs them; the receiver
+computes on views of it, so on the sender's bits. ``channel_log`` records the
+logical hand-offs per worker pair, crossing or not, so it does not depend on
+the CPU count. A process's exception reaches the caller with its type,
+message and notes, once every process is terminated and joined.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -18,15 +26,13 @@ attainable speedup.
 
 from __future__ import annotations
 
-import functools
-import queue
-import threading
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitProblem, eval_bundle
+from .core import FluxBundle, SplitProblem, eval_bundle
 # perfbench/tracing.py patches the block functions by name on this module too
 from .solver import (Block, RunResult, SolverConfig, StageSource,  # noqa: F401
                      correction_block, dependencies, predictor_block, run_blocks,
@@ -34,11 +40,7 @@ from .solver import (Block, RunResult, SolverConfig, StageSource,  # noqa: F401
 
 
 class DeadlockError(RuntimeError):
-    """A worker starved on a channel; guards against scheduling bugs."""
-
-
-class _Aborted(Exception):
-    """Internal: another worker failed, unwind quietly."""
+    """A worker starved on a channel, or the schedule simulator stalled."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,10 @@ class WorkerAssignment:
 
 @dataclass(frozen=True)
 class BlockResult:
-    """Payload exchanged between workers for one computed block.
+    """One received block, as ``_unpack`` rebuilds it from a message.
 
     The last-stage state and bundle always travel; the full per-stage lists
-    ride along when the receiver's quadrature needs them (upward messages).
+    ride along when a reader's quadrature needs them (upward messages).
     """
 
     n: int
@@ -120,22 +122,44 @@ def simulate_schedule(variant: str, kmax: int, N: int) -> int:
     return cycle
 
 
-def _chan_wait(op, abort: threading.Event, timeout: float, what: str):
-    """Retry the queue operation ``op`` until it succeeds; unwind once another
-    worker has failed, and raise DeadlockError after ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return op(timeout=0.05)
-        except (queue.Empty, queue.Full):
-            if abort.is_set():
-                raise _Aborted()
-            if time.monotonic() > deadline:
-                raise DeadlockError(f"{what} starved for {timeout:.0f}s")
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the cap on the pipeline's process count."""
+    return len(os.sched_getaffinity(0))
 
 
-def _chan_get(q_: queue.Queue, abort: threading.Event, timeout: float, name: str):
-    return _chan_wait(q_.get, abort, timeout, f"receive on channel {name}")
+def _pack(b: Block, ws, fs) -> bytes:
+    """Block b's stages as one flat float64 buffer: (n, k), then per stage
+    w, Phi_E, Phi_I, dPhi_E, dPhi_I, Phi, dPhi."""
+    return np.concatenate([(float(b.n), float(b.k)),
+                           *(a for w, f in zip(ws, fs)
+                             for a in (w, f.phi_e, f.phi_i, f.dphi_e, f.dphi_i,
+                                       f.phi, f.dphi))]).tobytes()
+
+
+def _unpack(buf: bytes, dim: int) -> BlockResult:
+    """``_pack``'s block, as views into ``buf``: the sender's bits."""
+    a = np.frombuffer(buf)
+    rows = a[2:].reshape(-1, 7, dim)
+    ws, fs = [r[0] for r in rows], [FluxBundle(*r[1:]) for r in rows]
+    return BlockResult(int(a[0]), int(a[1]), ws[-1], fs[-1],
+                       *((ws, fs) if len(rows) > 1 else ()))
+
+
+def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
+             name: str) -> BlockResult:
+    """Block b's message, filing every message that arrives on ``conns``
+    meanwhile into ``inbox`` by (n, k); raise DeadlockError once nothing has
+    arrived for ``timeout`` seconds."""
+    from multiprocessing.connection import wait
+
+    while (b.n, b.k) not in inbox:
+        ready = wait(conns, timeout)
+        if not ready:
+            raise DeadlockError(f"receive on channel {name} starved for {timeout:g}s")
+        for conn in ready:
+            msg = _unpack(conn.recv_bytes(), dim)
+            inbox[msg.n, msg.k] = msg
+    return inbox.pop((b.n, b.k))
 
 
 def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None = None,
@@ -145,8 +169,13 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
     ``workers`` is checked against the variant's required count when given.
     ``channel_log``, if supplied as a dict, is filled with the sequence of
-    step indices sent over each channel (for discipline checks).
+    step indices handed over each logical channel, whether or not the hand-off
+    crossed a process (for discipline checks). The workers are forked, so call
+    it while no other thread of the caller is running.
     """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     if cfg.variant not in ("Alg1", "Alg2", "LO"):
         raise ValueError(f"variant {cfg.variant!r} has no pipelined executor")
     asg = WorkerAssignment(variant=cfg.variant, kmax=cfg.kmax)
@@ -154,63 +183,89 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     if workers is not None and workers != P:
         raise ValueError(f"variant {cfg.variant} with kmax={cfg.kmax} "
                          f"requires exactly {P} workers, got {workers}")
+    C = min(P, _usable_cpus())
+    proc = [v * C // P for v in range(P)]  # worker -> its process
 
     # readers[k][v]: worker v reads Block(n, k) from another worker, as its
     # blue input (True: all stages) or as a step n+1 source (False: last stage)
     readers = {k: {} for k in range(cfg.kmax + 1)}
-    chans = {}  # (sender, receiver) -> (queue, name)
+    names = {}  # (sender, reader) -> channel name
     for j in range(cfg.kmax + 1):
         v = asg.owner(j)
         for d in dependencies(Block(1, j), cfg.variant, cfg.kmax):
             w = asg.owner(d.k)
             if w != v:
                 readers[d.k][v] = d.n == 1
-                name = f"up{w}" if v > w else f"down{v}"
-                chans[w, v] = (queue.Queue(maxsize=8), name)
-                if channel_log is not None:
-                    channel_log[name] = []
+                names[w, v] = f"up{w}" if v > w else f"down{v}"
 
     seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
-    abort = threading.Event()
-    lanes, errors = [None] * P, [None] * P
+    # fork: the problem's callbacks are closures, which a spawned child could
+    # not be sent
+    ctx = multiprocessing.get_context("fork")
+    pipes = {(a, b): ctx.Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
+    results = [ctx.Pipe(duplex=False) for _ in range(C)]
 
-    def work(w: int):
+    def work(c: int):
+        ins = [r for (_, b), (r, _) in pipes.items() if b == c]
+        inbox = {}
+        log = {name: [] for (w, _), name in names.items() if proc[w] == c}
+
         def receive(b: Block):
-            q_, name = chans[asg.owner(b.k), w]
-            msg = _chan_get(q_, abort, channel_timeout, name)
-            assert (msg.n, msg.k) == (b.n, b.k), f"channel {name} out of order"
+            v = next(v for v in readers[b.k] if proc[v] == c)
+            msg = _receive(ins, inbox, b, p.dim, channel_timeout,
+                           names[asg.owner(b.k), v])
             return msg.stages_w or [msg.w_last], msg.stages_f or [msg.f_last]
 
         def send(b: Block, ws, fs):
+            blue_to = {}  # process -> whether a reader there needs all stages
             for v, blue in readers[b.k].items():
                 if not blue and b.n == cfg.n_steps - 1:
                     continue  # no step follows to read it
-                q_, name = chans[w, v]
-                msg = (BlockResult(b.n, b.k, ws[-1], fs[-1], ws, fs) if blue
-                       else BlockResult(b.n, b.k, ws[-1], fs[-1]))
-                _chan_wait(functools.partial(q_.put, msg), abort, channel_timeout,
-                           f"send on channel {name}")
-                if channel_log is not None:
-                    channel_log[name].append(b.n)
+                log[names[asg.owner(b.k), v]].append(b.n)
+                if proc[v] != c:
+                    blue_to[proc[v]] = blue_to.get(proc[v], False) or blue
+            for to, blue in blue_to.items():
+                pipes[c, to][1].send_bytes(_pack(b, ws, fs) if blue
+                                           else _pack(b, ws[-1:], fs[-1:]))
 
+        iterates = [k for v in range(P) if proc[v] == c for k in asg.iterates(v)]
         try:
-            lanes[w] = run_blocks(p, cfg, seed, asg.iterates(w), receive, send)
-        except BaseException as exc:  # noqa: BLE001 - re-raised after the join
-            errors[w] = exc
-            abort.set()
+            out = run_blocks(p, cfg, seed, iterates, receive, send), log
+        except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+            out = exc
+        results[c][1].send(out)
 
-    threads = [threading.Thread(target=work, args=(w,),
-                                name=f"lane{w}" if cfg.variant == "LO" else f"pair{w}")
-               for w in range(P)]
+    children = [ctx.Process(target=work, args=(c,), name=f"hbpc-pipeline-{c}",
+                            daemon=True) for c in range(C)]
+    got = [None] * C
     t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wallclock = time.perf_counter() - t0
+    try:
+        for child in children:
+            child.start()
+        while None in got:
+            live = [c for c in range(C) if got[c] is None]
+            wait([results[c][0] for c in live] + [children[c].sentinel for c in live])
+            for c in live:
+                exited = not children[c].is_alive()  # then it has sent all it will
+                if results[c][0].poll():
+                    got[c] = results[c][0].recv()
+                    if isinstance(got[c], Exception):
+                        raise got[c]
+                elif exited:
+                    raise RuntimeError(
+                        f"pipeline process {children[c].name} (pid {children[c].pid}) "
+                        f"exited with code {children[c].exitcode} without a result")
+    finally:
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+        wallclock = time.perf_counter() - t0
+        for conn in [c for pair in [*pipes.values(), *results] for c in pair]:
+            conn.close()
 
-    for exc in errors:
-        if exc is not None and not isinstance(exc, _Aborted):
-            raise exc
-    return run_result(p, cfg, [lane for ls in lanes for lane in ls], reference,
+    if channel_log is not None:
+        for _, log in got:
+            channel_log.update(log)
+    return run_result(p, cfg, [lane for lanes, _ in got for lane in lanes], reference,
                       wallclock)

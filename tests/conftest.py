@@ -16,6 +16,20 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+@pytest.fixture(autouse=True)
+def no_live_child_process():
+    """Fail a test that leaves a child process running, and stop it."""
+    yield
+    import multiprocessing
+
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"left {len(left)} child process(es) running: {left}")
+
+
 @pytest.fixture
 def computed_corrections(monkeypatch):
     """A list whose sum counts the correction blocks the solver computes,

@@ -286,9 +286,18 @@ def test_speedup_study_reports_and_guards(monkeypatch):
         bad[-1] += 1e-9
         return dataclasses.replace(run, updates=bad)
 
-    monkeypatch.setattr(harness, "integrate_parallel", corrupted)
-    with pytest.raises(MismatchedResultsError):
-        run_speedup_study(cfg)
+    def miscounted(p, scfg, workers=None, reference=None, **kw):
+        run = real(p, scfg, workers=workers, reference=reference, **kw)
+        return dataclasses.replace(run, newton_per_iterate=run.newton_per_iterate + 1)
+
+    def capped(p, scfg, workers=None, reference=None, **kw):
+        run = real(p, scfg, workers=workers, reference=reference, **kw)
+        return dataclasses.replace(run, iter_cap_hits=run.iter_cap_hits + 1)
+
+    for wrong in (corrupted, miscounted, capped):
+        monkeypatch.setattr(harness, "integrate_parallel", wrong)
+        with pytest.raises(MismatchedResultsError):
+            run_speedup_study(cfg)
 
 
 def test_limit_study_rows_and_blank_cells():

@@ -1,16 +1,20 @@
 """Pipelined executor: dependency graph, schedule counts, bit-identity."""
 
-import queue
+import multiprocessing
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from hbpc.core import NonFiniteError, SplitProblem
-from hbpc.pipeline import (Block, DeadlockError, WorkerAssignment, _chan_get,
-                           dependencies, integrate_parallel, simulate_schedule)
+import hbpc.pipeline as pipeline
+from hbpc.core import NonFiniteError, SplitProblem, eval_bundle
+from hbpc.pipeline import (Block, DeadlockError, WorkerAssignment, _pack, _receive,
+                           _unpack, dependencies, integrate_parallel, simulate_schedule)
 from hbpc.problems import scalar_pow, van_der_pol
-from hbpc.solver import SolverConfig, integrate
+from hbpc.solver import (SolverConfig, StageSource, integrate, run_blocks,
+                         run_result)
 
 
 def test_dependencies_predictor():
@@ -103,26 +107,63 @@ def test_parallel_bitwise_on_a_stiff_problem():
                           integrate_parallel(p, cfg).updates)
 
 
-def test_parallel_matches_serial_bitwise_where_workers_skip(computed_corrections):
-    # Workers of iterates {2p, 2p+1}, p >= 1, reuse Block(n, 2p) for
-    # Block(n, 2p+1) once the sweeps sit at their fixed point.
+def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch,
+                                                           computed_corrections):
+    # Once the sweeps sit at their fixed point, Block(n, k) reuses Block(n, k-1)
+    # where both are a process's own and k-1 read its blue input in that
+    # process too. A process counts in its own memory, so the run_blocks of
+    # each of the two processes runs here, fed the serial run's blocks through
+    # the pipeline's message format.
     from hbpc.newton import NewtonConfig
 
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     p = scalar_pow()
     cfg = SolverConfig(variant="Alg1", q=8, kmax=9, n_steps=40,
                        newton=NewtonConfig(rel_tol=1e-13, abs_tol=1e-15))
-    ser = integrate(p, cfg)
+    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    sent = {}
+    run_blocks(p, cfg, seed, range(cfg.kmax + 1),
+               send=lambda b, ws, fs: sent.__setitem__(b, _pack(b, ws, fs)))
     serial = sum(computed_corrections)
     computed_corrections.clear()
-    par = integrate_parallel(p, cfg)
-    # a worker skips only where iterate k-1 is its own, so less than serially
+
+    def receive(b):
+        msg = _unpack(sent[b], p.dim)
+        return msg.stages_w, msg.stages_f
+
+    # pairs {0, 1, 2} and {3, 4} of five, as integrate_parallel splits them
+    lanes = [lane for iterates in (range(6), range(6, 10))
+             for lane in run_blocks(p, cfg, seed, iterates, receive)]
+    # a process skips only where iterate k-2 is its own, so less than serially
     assert serial < sum(computed_corrections) < cfg.kmax * cfg.n_steps
+    ser = integrate(p, cfg)
+    assert run_result(p, cfg, lanes, None, 0.0).updates.tobytes() == ser.updates.tobytes()
+    par = integrate_parallel(p, cfg)
     assert ser.updates.tobytes() == par.updates.tobytes()
     assert ser.errors.tobytes() == par.errors.tobytes()
     assert np.array_equal(ser.newton_per_iterate, par.newton_per_iterate)
     assert ser.iter_cap_hits == par.iter_cap_hits
     for a, b in zip(ser.final_last_w, par.final_last_w):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Alg1", 7), ("Alg2", 5),
+                                          ("LO", 4)])
+def test_process_count_changes_neither_bits_nor_channel_log(monkeypatch, variant, kmax):
+    p = scalar_pow()
+    cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=12)
+    ser = integrate(p, cfg)
+    logs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        log = {}
+        par = integrate_parallel(p, cfg, channel_log=log)
+        logs.append(log)
+        assert ser.updates.tobytes() == par.updates.tobytes()
+        assert np.array_equal(ser.newton_per_iterate, par.newton_per_iterate)
+        for a, b in zip(ser.final_last_w, par.final_last_w):
+            assert a.tobytes() == b.tobytes()
+    assert logs[0] == logs[1] == logs[2]
 
 
 def test_worker_count_is_checked():
@@ -162,15 +203,19 @@ def test_channel_log_discipline():
 
 
 def test_channel_get_starvation_raises():
-    empty = queue.Queue()
-    with pytest.raises(DeadlockError):
-        _chan_get(empty, threading.Event(), 0.1, "up0")
+    quiet, unused = multiprocessing.get_context("fork").Pipe(duplex=False)
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError, match="channel up0"):
+        _receive([quiet], {}, Block(3, 1), 1, 0.1, "up0")
+    assert time.monotonic() - t0 < 2.0
+    quiet.close()
+    unused.close()
 
 
-def _nan_below(threshold=0.6):
-    """w' = -w from w = 1, whose implicit flux turns NaN once w[0] < threshold."""
+def _fails_below(then, threshold=0.6):
+    """w' = -w from w = 1, whose implicit flux is ``then(w)`` once w[0] < threshold."""
     def phi_i(w):
-        return -w if w[0] >= threshold else np.full(1, np.nan)
+        return -w if w[0] >= threshold else then(w)
     return SplitProblem(dim=1, phi_e=lambda w: np.zeros(1), phi_i=phi_i,
                         w0=np.ones(1), t_end=1.0,
                         jac_e=lambda w: np.zeros((1, 1)),
@@ -178,13 +223,47 @@ def _nan_below(threshold=0.6):
                         dphi_i_jac=lambda w: np.eye(1))
 
 
+def _raise_with_note(w):
+    exc = NonFiniteError("phi_i is undefined here")
+    exc.add_note("raised by the test problem")
+    raise exc
+
+
 @pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Alg2", 7), ("LO", 2)])
-def test_worker_failure_raises_and_leaves_no_thread(variant, kmax):
-    p = _nan_below()
+def test_worker_failure_raises_and_leaves_no_thread(monkeypatch, variant, kmax):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
     cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=20)
-    with pytest.raises(NonFiniteError):
-        integrate(p, cfg)
     before = set(threading.enumerate())
-    with pytest.raises(NonFiniteError):
-        integrate_parallel(p, cfg, channel_timeout=10.0)
-    assert set(threading.enumerate()) <= before
+    for then in (lambda w: np.full(1, np.nan), _raise_with_note):
+        p = _fails_below(then)
+        with pytest.raises(NonFiniteError) as ser:
+            integrate(p, cfg)
+        t0 = time.monotonic()
+        with pytest.raises(NonFiniteError) as par:
+            integrate_parallel(p, cfg, channel_timeout=10.0)
+        assert time.monotonic() - t0 < 5.0  # the peers were killed, not starved
+        assert set(threading.enumerate()) <= before
+        assert multiprocessing.active_children() == []
+    # a deterministic message: every failing block raises the same error
+    assert type(par.value) is type(ser.value)
+    assert str(par.value) == str(ser.value)
+    assert par.value.__notes__ == ser.value.__notes__ == ["raised by the test problem"]
+
+
+def test_worker_exit_without_a_result_raises_promptly(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def exit_in_worker(w):
+        if os.getpid() != parent:
+            os._exit(3)
+        return -w
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError,
+                       match=r"process hbpc-pipeline-\d \(pid \d+\) exited with code 3"):
+        integrate_parallel(_fails_below(exit_in_worker),
+                           SolverConfig(variant="Alg1", q=4, kmax=3, n_steps=20),
+                           channel_timeout=10.0)
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
