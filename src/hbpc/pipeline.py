@@ -259,7 +259,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
         for child in children:
             if child.is_alive():
                 child.terminate()
-            child.join()
+            if child.pid is not None:  # a failed fork leaves the rest unstarted
+                child.join()
         wallclock = time.perf_counter() - t0
         for conn in [c for pair in [*pipes.values(), *results] for c in pair]:
             conn.close()

@@ -267,3 +267,22 @@ def test_worker_exit_without_a_result_raises_promptly(monkeypatch):
                            channel_timeout=10.0)
     assert time.monotonic() - t0 < 5.0
     assert multiprocessing.active_children() == []
+
+
+def test_failed_fork_raises_its_own_error(monkeypatch):
+    from multiprocessing.process import BaseProcess
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    start, started = BaseProcess.start, []
+
+    def start_once(proc):
+        if started:
+            raise BlockingIOError(11, "fork refused")
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(BaseProcess, "start", start_once)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        integrate_parallel(scalar_pow(), SolverConfig(variant="Alg1", q=4, kmax=3,
+                                                      n_steps=8))
+    assert multiprocessing.active_children() == []
