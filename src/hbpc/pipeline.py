@@ -13,10 +13,15 @@ The workers run in min(workers, usable CPUs) forked processes, each one
 ``run_blocks`` over the iterates of a run of consecutive workers. A block read
 in another process crosses one pipe per ordered process pair as one flat
 float64 buffer, with all stages if a reader there needs them; the receiver
-computes on views of it, so on the sender's bits. ``channel_log`` records the
-logical hand-offs per worker pair, crossing or not, so it does not depend on
-the CPU count. A process's exception reaches the caller with its type,
-message and notes, once every process is terminated and joined.
+computes on views of it, so on the sender's bits. A process waiting for a
+block polls its incoming pipes, one ``select.poll`` set built per process,
+without blocking for up to ``_SPIN_S`` before it sleeps, so it stays on its
+CPU through the gap in which a partner computes the block; once nothing has
+arrived for ``channel_timeout`` seconds it raises ``DeadlockError`` naming the
+logical channel. ``channel_log`` records the logical hand-offs per worker
+pair, crossing or not, so it does not depend on the CPU count. A process's
+exception reaches the caller with its type, message and notes, once every
+process is terminated and joined.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -26,7 +31,9 @@ attainable speedup.
 
 from __future__ import annotations
 
+import math
 import os
+import select
 import time
 from dataclasses import dataclass
 
@@ -37,6 +44,19 @@ from .core import FluxBundle, SplitProblem, eval_bundle
 from .solver import (Block, RunResult, SolverConfig, StageSource,  # noqa: F401
                      correction_block, dependencies, predictor_block, run_blocks,
                      run_result)
+
+
+# How long a receive polls its pipes without blocking before it sleeps. A
+# partner takes about 0.35-0.65 ms to produce the next block; a receiver that
+# sleeps through that gap idles its vCPU, a virtual machine's host may then
+# take the vCPU away, and the hand-off waits until the host gives it back. On
+# 2 vCPUs with the host busy (over 8 % steal), pipeline's config
+# (pareschi_russo Alg1 q=8 kmax=3, N=240) took a median 0.57 s per call with
+# blocking receives, 0.55 s with a 0.2 ms budget, 0.41 s with 1 ms and 0.35 s
+# with 5 ms; on a quiet host every budget took 0.27-0.30 s. Spinning takes no
+# CPU from a partner: there is at most one process per usable CPU, and the
+# parent sleeps while they run.
+_SPIN_S = 0.005
 
 
 class DeadlockError(RuntimeError):
@@ -91,35 +111,36 @@ class BlockResult:
 
 def simulate_schedule(variant: str, kmax: int, N: int) -> int:
     """Cycle count of the greedy synchronous schedule (one block per worker
-    per cycle, results visible the following cycle)."""
+    per cycle, results visible the following cycle).
+
+    One pass in (n, k) order: a block finishes one cycle after the later of
+    its worker's previous block and its dependencies, which must precede it.
+    """
     if kmax < 1 or N < 1:
         raise ValueError("kmax and N must be at least 1")
     asg = WorkerAssignment(variant=variant, kmax=kmax)
     dep_variant = "Alg1" if variant == "serial" else variant
-    order = {p: [Block(n, k) for n in range(N) for k in asg.iterates(p)]
-             for p in range(asg.n_workers)}
-    cursor = {p: 0 for p in order}
-    done = {}
-    cycle = 0
-    remaining = N * (kmax + 1)
-    while remaining:
-        cycle += 1
-        progressed = False
-        for p, blocks in order.items():
-            i = cursor[p]
-            if i >= len(blocks):
-                continue
-            b = blocks[i]
-            if all(done.get(d, cycle) < cycle
-                   for d in dependencies(b, dep_variant, kmax)):
-                done[b] = cycle
-                cursor[p] = i + 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise DeadlockError(
-                f"schedule stalled at cycle {cycle} for {variant}, kmax={kmax}, N={N}")
-    return cycle
+    # as run_blocks' back: each iterate's dependencies as (step offset, iterate)
+    offsets = [[(d.n - 1, d.k) for d in dependencies(Block(1, k), dep_variant, kmax)]
+               for k in range(kmax + 1)]
+    for k, deps in enumerate(offsets):
+        for dn, j in deps:
+            if (dn, j) >= (0, k):
+                raise DeadlockError(
+                    f"schedule stalls: Block(n, {k}) depends on Block(n{dn:+d}, {j}), "
+                    f"which does not precede it, for {variant}, kmax={kmax}, N={N}")
+    owner = [asg.owner(k) for k in range(kmax + 1)]
+    last = [0] * asg.n_workers  # cycle of each worker's latest block
+    done = []  # done[n][k]: the cycle Block(n, k) runs in
+    for n in range(N):
+        done.append(row := [0] * (kmax + 1))
+        for k in range(kmax + 1):
+            cycle = last[owner[k]]
+            for dn, j in offsets[k]:
+                if n + dn >= 0 and done[n + dn][j] > cycle:  # else a seed input
+                    cycle = done[n + dn][j]
+            last[owner[k]] = row[k] = cycle + 1
+    return max(last)
 
 
 def _usable_cpus() -> int:
@@ -145,19 +166,37 @@ def _unpack(buf: bytes, dim: int) -> BlockResult:
                        *((ws, fs) if len(rows) > 1 else ()))
 
 
+def _poll_set(conns) -> tuple:
+    """One ``select.poll`` set over ``conns`` for reading, with each fd's
+    connection."""
+    poll = select.poll()
+    for conn in conns:
+        poll.register(conn, select.POLLIN)
+    return poll, {conn.fileno(): conn for conn in conns}
+
+
 def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
-             name: str) -> BlockResult:
+             name: str, polled: tuple | None = None) -> BlockResult:
     """Block b's message, filing every message that arrives on ``conns``
     meanwhile into ``inbox`` by (n, k); raise DeadlockError once nothing has
-    arrived for ``timeout`` seconds."""
-    from multiprocessing.connection import wait
+    arrived for ``timeout`` seconds.
 
+    Each wait polls ``polled`` (``_poll_set(conns)`` if not given) without
+    blocking for up to ``_SPIN_S`` and only then blocks for the rest of
+    ``timeout``.
+    """
+    poll, by_fd = polled or _poll_set(conns)
+    spin = min(_SPIN_S, timeout)
     while (b.n, b.k) not in inbox:
-        ready = wait(conns, timeout)
+        start = time.perf_counter()
+        while not (ready := poll.poll(0)) and time.perf_counter() - start < spin:
+            pass
+        if not ready:
+            ready = poll.poll(1e3 * max(0.0, timeout - (time.perf_counter() - start)))
         if not ready:
             raise DeadlockError(f"receive on channel {name} starved for {timeout:g}s")
-        for conn in ready:
-            msg = _unpack(conn.recv_bytes(), dim)
+        for fd, _ in ready:
+            msg = _unpack(by_fd[fd].recv_bytes(), dim)
             inbox[msg.n, msg.k] = msg
     return inbox.pop((b.n, b.k))
 
@@ -178,6 +217,9 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
     if cfg.variant not in ("Alg1", "Alg2", "LO"):
         raise ValueError(f"variant {cfg.variant!r} has no pipelined executor")
+    if not (math.isfinite(channel_timeout) and channel_timeout > 0):
+        raise ValueError(f"channel_timeout must be finite and positive, "
+                         f"got {channel_timeout!r}")
     asg = WorkerAssignment(variant=cfg.variant, kmax=cfg.kmax)
     P = asg.n_workers
     if workers is not None and workers != P:
@@ -207,13 +249,14 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
     def work(c: int):
         ins = [r for (_, b), (r, _) in pipes.items() if b == c]
+        polled = _poll_set(ins)
         inbox = {}
         log = {name: [] for (w, _), name in names.items() if proc[w] == c}
 
         def receive(b: Block):
             v = next(v for v in readers[b.k] if proc[v] == c)
             msg = _receive(ins, inbox, b, p.dim, channel_timeout,
-                           names[asg.owner(b.k), v])
+                           names[asg.owner(b.k), v], polled)
             return msg.stages_w or [msg.w_last], msg.stages_f or [msg.f_last]
 
         def send(b: Block, ws, fs):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -71,6 +72,63 @@ def test_schedule_cycle_counts():
         for N in (1, 4, 9):
             assert simulate_schedule("LO", kmax, N) == N + kmax
     assert simulate_schedule("Alg1", 1, 10) == 20  # one pair pipelines nothing
+
+
+def _greedy_schedule(variant, kmax, N):
+    """The cycle-by-cycle simulator ``simulate_schedule`` replaced: each cycle
+    every worker runs its next block if that block's dependencies finished in
+    an earlier cycle."""
+    asg = WorkerAssignment(variant=variant, kmax=kmax)
+    dep_variant = "Alg1" if variant == "serial" else variant
+    order = {p: [Block(n, k) for n in range(N) for k in asg.iterates(p)]
+             for p in range(asg.n_workers)}
+    cursor = {p: 0 for p in order}
+    done = {}
+    cycle = 0
+    remaining = N * (kmax + 1)
+    while remaining:
+        cycle += 1
+        progressed = False
+        for p, blocks in order.items():
+            i = cursor[p]
+            if i >= len(blocks):
+                continue
+            b = blocks[i]
+            if all(done.get(d, cycle) < cycle
+                   for d in pipeline.dependencies(b, dep_variant, kmax)):
+                done[b] = cycle
+                cursor[p] = i + 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise DeadlockError(f"schedule stalled at cycle {cycle}")
+    return cycle
+
+
+def test_one_pass_schedule_matches_the_greedy_simulator():
+    for variant in ("Alg1", "Alg2", "LO", "serial"):
+        for kmax in range(1, 16, 2):
+            for N in range(1, 13):
+                assert simulate_schedule(variant, kmax, N) == \
+                    _greedy_schedule(variant, kmax, N), (variant, kmax, N)
+
+
+@pytest.mark.parametrize("late", [lambda b: Block(b.n, b.k + 1),  # same step, later
+                                  lambda b: Block(b.n + 1, b.k),  # next step
+                                  lambda b: b],                   # itself
+                         ids=["later-iterate", "next-step", "itself"])
+def test_schedule_dependency_that_does_not_precede_raises(monkeypatch, late):
+    real = pipeline.dependencies
+
+    def deps(b, variant, kmax):
+        return real(b, variant, kmax) | ({late(b)} if b.k == 1 else set())
+
+    monkeypatch.setattr(pipeline, "dependencies", deps)
+    for variant in ("Alg1", "LO", "serial"):
+        with pytest.raises(DeadlockError):
+            _greedy_schedule(variant, 3, 4)
+        with pytest.raises(DeadlockError, match=r"Block\(n, 1\) depends on"):
+            simulate_schedule(variant, 3, 4)
 
 
 def test_schedule_validation():
@@ -210,6 +268,69 @@ def test_channel_get_starvation_raises():
     assert time.monotonic() - t0 < 2.0
     quiet.close()
     unused.close()
+
+
+def _message(b: Block, dim: int = 1) -> bytes:
+    """Block b as ``_pack`` sends it, one stage at w = 0.5."""
+    w = np.full(dim, 0.5)
+    return _pack(b, [w], [eval_bundle(scalar_pow(), w)])
+
+
+def test_receive_returns_a_queued_message_at_once():
+    r, w = multiprocessing.get_context("fork").Pipe(duplex=False)
+    w.send_bytes(_message(Block(3, 2)))
+    w.send_bytes(_message(Block(3, 1)))
+    inbox = {}
+    # a timeout too short to wait at all: both messages are there already
+    msg = _receive([r], inbox, Block(3, 1), 1, 1e-9, "up0")
+    assert (msg.n, msg.k) == (3, 1) and msg.w_last.tolist() == [0.5]
+    assert list(inbox) == [(3, 2)]  # filed on the way
+    assert _receive([r], inbox, Block(3, 2), 1, 1e-9, "up0").k == 2
+    assert not r.poll()
+    r.close()
+    w.close()
+
+
+def test_receive_blocks_once_the_spin_budget_runs_out():
+    r, w = multiprocessing.get_context("fork").Pipe(duplex=False)
+    delay = 20 * pipeline._SPIN_S
+    timer = threading.Timer(delay, w.send_bytes, args=(_message(Block(3, 1)),))
+    t0, cpu0 = time.monotonic(), time.process_time()
+    timer.start()
+    msg = _receive([r], {}, Block(3, 1), 1, 10.0, "up0")
+    elapsed, cpu = time.monotonic() - t0, time.process_time() - cpu0
+    timer.join()
+    assert (msg.n, msg.k) == (3, 1)
+    assert elapsed >= delay
+    assert cpu < delay / 2  # it spun for the budget, then slept in poll
+    r.close()
+    w.close()
+
+
+def test_receive_timeout_shorter_than_the_spin_budget(monkeypatch):
+    monkeypatch.setattr(pipeline, "_SPIN_S", 5.0)
+    quiet, unused = multiprocessing.get_context("fork").Pipe(duplex=False)
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError, match="channel up0 starved for 0.05s"):
+        _receive([quiet], {}, Block(3, 1), 1, 0.05, "up0")
+    assert 0.05 <= time.monotonic() - t0 < 2.0
+    quiet.close()
+    unused.close()
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+def test_channel_timeout_must_be_finite_and_positive(monkeypatch, timeout):
+    from multiprocessing.process import BaseProcess
+
+    def no_fork(proc):
+        raise AssertionError("forked before checking channel_timeout")
+
+    monkeypatch.setattr(BaseProcess, "start", no_fork)
+    with pytest.raises(ValueError, match=re.escape(f"channel_timeout must be finite "
+                                                   f"and positive, got {timeout!r}")):
+        integrate_parallel(scalar_pow(), SolverConfig(variant="Alg1", q=4, kmax=3,
+                                                      n_steps=8),
+                           channel_timeout=timeout)
 
 
 def _fails_below(then, threshold=0.6):
