@@ -1,11 +1,11 @@
 """Damped Newton iteration for the per-stage implicit systems.
 
 Each step solves J(w) delta = -F(w) with a dense LU factorization and updates
-w <- w + theta * delta. The damping theta starts at 1 and is halved whenever a
-trial step fails to keep the residual norm below growth_threshold times the
-previous one; it never recovers within one solve. Convergence is declared on
-a relative residual drop, on an absolute residual, or at the iteration cap
-(the cap is reported as converged but flagged so callers can count it).
+w <- w + theta * delta. ``judge`` holds the rule shared with the solver's
+stacked kernel: theta starts at 1 and is halved whenever a trial step fails to
+keep the residual norm below growth_threshold times the previous one (it never
+recovers within one solve), and a solve ends on a relative residual drop, an
+absolute residual, or the iteration cap (reported as converged but flagged).
 The order of evaluation is fixed (see ``solve``), so a caller can evaluate
 each Newton state once and share it between the residual and its Jacobian.
 """
@@ -13,6 +13,7 @@ each Newton state once and share it between the residual and its Jacobian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +39,16 @@ class NewtonConfig:
     damping_factor: float = 0.5
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0 < self.growth_threshold < 1:
             raise ValueError("growth_threshold must lie in (0, 1)")
+        if not 0 < self.damping_init <= 1:
+            raise ValueError("damping_init must lie in (0, 1]")
         if not 0 < self.damping_factor < 1:
             raise ValueError("damping_factor must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer, at least 1")
 
 
 @dataclass
@@ -58,18 +61,21 @@ class NewtonResult:
     damping_history: list = field(default_factory=list)
 
 
+def _pivot_too_small(pivots: list) -> bool:
+    """Whether abs(pivots).min() < 1e-300, where numpy's min propagates NaN."""
+    return min(map(abs, pivots)) < _PIVOT_FLOOR and not any(map(math.isnan, pivots))
+
+
 def _lu_solve_checked(J: Array, rhs: Array) -> Array:
     """Solve J x = rhs by partial-pivoting LU; raise on a pivot below 1e-300.
 
     Calls the LAPACK routines behind ``scipy.linalg.lu_factor``/``lu_solve``
     directly: bitwise the same result, without the wrappers, which cost more
     than factoring a d <= 4 system. An exactly singular J (dgetrf info > 0)
-    leaves a zero pivot, which the floor check catches. A NaN pivot never
-    trips the floor, as under ``abs(diag).min()``, which propagates NaN.
+    leaves a zero pivot, which the floor check catches.
     """
     lu, piv, _ = dgetrf(J)
-    diag = lu.diagonal().tolist()
-    if min(map(abs, diag)) < _PIVOT_FLOOR and not any(map(math.isnan, diag)):
+    if _pivot_too_small(lu.diagonal().tolist()):
         raise SingularJacobianError("LU pivot below 1e-300")
     return dgetrs(lu, piv, rhs)[0]
 
@@ -79,8 +85,29 @@ def _norm(r: Array) -> float:
     return math.sqrt(r.dot(r))
 
 
+def _norms(R: Array) -> Array:
+    # per row, bitwise _norm; (R * R).sum(1) is not
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def judge(cfg: NewtonConfig, history: list, theta: float | None = None):
+    """(damping, verdict) of a solve with residual norms ``history``, start
+    first; a verdict of None means iterate on. At the start: damping_init, and
+    "absolute" or None. After an iteration run with damping ``theta``: theta,
+    cut unless the residual fell below growth_threshold times the one before,
+    and "absolute", "relative", "iter_cap" or None."""
+    r, it = history[-1], len(history) - 1
+    if not it:
+        return cfg.damping_init, "absolute" if r <= cfg.abs_tol else None
+    if r > cfg.growth_threshold * history[-2]:
+        theta *= cfg.damping_factor
+    return theta, ("absolute" if r <= cfg.abs_tol else
+                   "relative" if r / history[0] <= cfg.rel_tol else
+                   "iter_cap" if it == cfg.max_iter else None)
+
+
 def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Damped Newton iterate from w0 until a convergence criterion fires.
+    """Damped Newton iterate from w0 until ``judge`` returns a verdict.
 
     ``F`` maps a state to the residual vector, ``J`` maps a state to the d x d
     residual Jacobian; ``J`` is called only at the state ``F`` evaluated last,
@@ -99,32 +126,18 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
     rnorm = _norm(r)
     if not math.isfinite(rnorm) and not np.isfinite(r).all():
         raise NonFiniteError("non-finite residual at the Newton starting point")
-    rnorm0 = rnorm
-    history = [rnorm]
-    dampings = []
-
-    if rnorm <= cfg.abs_tol:
-        return NewtonResult(w, 0, rnorm, "absolute", history, dampings)
-
-    theta = cfg.damping_init
-    for it in range(1, cfg.max_iter + 1):
+    history, dampings = [rnorm], []
+    theta, why = judge(cfg, history)
+    while why is None:
         Jw = np.asarray(J(w), dtype=float)
         if not np.isfinite(Jw).all():
             raise NonFiniteError("non-finite Jacobian in Newton iteration")
-        delta = _lu_solve_checked(Jw, -r)
-        w = w + theta * delta
+        w = w + theta * _lu_solve_checked(Jw, -r)
         r = np.asarray(F(w), dtype=float)
-        new_norm = _norm(r)
-        if not math.isfinite(new_norm) and not np.isfinite(r).all():
+        rnorm = _norm(r)
+        if not math.isfinite(rnorm) and not np.isfinite(r).all():
             raise NonFiniteError("non-finite residual in Newton iteration")
-        if new_norm > cfg.growth_threshold * rnorm:
-            theta *= cfg.damping_factor
-        dampings.append(theta)
-        rnorm = new_norm
         history.append(rnorm)
-        if rnorm <= cfg.abs_tol:
-            return NewtonResult(w, it, rnorm, "absolute", history, dampings)
-        if rnorm / rnorm0 <= cfg.rel_tol:
-            return NewtonResult(w, it, rnorm, "relative", history, dampings)
-
-    return NewtonResult(w, cfg.max_iter, rnorm, "iter_cap", history, dampings)
+        theta, why = judge(cfg, history, theta)
+        dampings.append(theta)
+    return NewtonResult(w, len(history) - 1, rnorm, why, history, dampings)

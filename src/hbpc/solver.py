@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import (Array, FluxBundle, NonFiniteError, SplitProblem, all_finite,
                    eval_bundle, fd_jacobian)
-from .newton import NewtonConfig, NewtonResult
+from .newton import NewtonConfig, NewtonResult, judge
 from . import newton as _newton
 from .tableaux import TwoDerivativeTableau, builtin, quadrature
 
@@ -78,8 +78,8 @@ class SolverConfig:
             raise ValueError("kmax must be at least 1")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.limit_tol <= 0 or self.limit_max_sweeps < 1:
-            raise ValueError("limit_tol must be positive, limit_max_sweeps at least 1")
+        if not 0 < self.limit_tol < math.inf or self.limit_max_sweeps < 1:
+            raise ValueError("limit_tol must lie in (0, inf), limit_max_sweeps at least 1")
         if self.corrector_start not in CORRECTOR_STARTS:
             raise ValueError(f"corrector_start must be one of {CORRECTOR_STARTS}")
 
@@ -209,11 +209,6 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     return w, FluxBundle(fe, fi, de, di, ftot), res
 
 
-def _norms(R: Array) -> Array:
-    # per row, bitwise newton._norm; (R * R).sum(1) is not
-    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-
-
 def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
                   stacks=None):
     """``_solve_stage`` for B lanes at once on the callbacks' stacked forms:
@@ -222,12 +217,12 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
     ``stacks``, when given, holds the (B, d) stacks of the starts' states,
     Phi_I and dPhi_I.
 
-    Each row, a lane still iterating, takes ``newton.solve``'s steps, so it
-    gets bitwise ``_solve_stage``'s results (matmul operands stay contiguous:
-    its bits depend on layout). A NaN/Inf or a pivot below the floor (the
-    entry at d = 1, ``_lu_solve_checked`` per lane at d > 1) in any lane
-    sends all through ``_solve_stage``, which raises the first lane's error.
-    Callers run it under ``np.errstate(all="ignore")``.
+    Each row, a lane still iterating, takes ``newton.solve``'s steps and its
+    ``judge`` verdicts, so it gets bitwise ``_solve_stage``'s results (matmul
+    operands stay contiguous: its bits depend on layout). A NaN/Inf or a pivot
+    below the floor (the entry at d = 1, ``_lu_solve_checked`` per lane at
+    d > 1) in any lane sends all through ``_solve_stage``, which raises the
+    first lane's error. Callers run it under ``np.errstate(all="ignore")``.
     """
     try:
         return _stacked_newton(p, a, rhs, starts, ncfg, stacks)
@@ -238,7 +233,7 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
 
 def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
                     stacks):
-    # Per-lane norms, dampings and verdicts are Python floats, bitwise numpy's.
+    # Per-lane norms and dampings are Python floats, bitwise numpy's.
     # A finite sum has finite terms: a finite J.sum() passes J, a finite sum
     # of phi + dphi the four bundle parts; other sums fall to the exact check.
     phi_e, phi_i, jac_e, jac_i, dphi_i_jac = (getattr(p, cb).stack for cb in _CALLBACKS)
@@ -249,30 +244,29 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
     a = a[:, None]
     h = 0.5 * a * a
     R = W - a * PI + h * DPI - rhs
-    rn = _norms(R).tolist()
+    rn = _newton._norms(R).tolist()
     if not all(map(math.isfinite, rn)):
         raise FloatingPointError
     out, hist, damp = [None] * len(rn), [[r] for r in rn], [[] for _ in rn]
-    lanes = []
-    for i, r in enumerate(rn):
-        if r <= ncfg.abs_tol:
-            w, f = starts[i]
-            out[i] = w, f, NewtonResult(w, 0, r, "absolute", hist[i], damp[i])
-        else:
+    th, lanes = [None] * len(rn), []
+    for i, (h_i, (w, f)) in enumerate(zip(hist, starts)):
+        th[i], why = judge(ncfg, h_i)
+        if why is None:
             lanes.append(i)
+        else:
+            out[i] = w, f, NewtonResult(w, 0, rn[i], why, h_i, damp[i])
     if not lanes:
         return out
     if len(lanes) < len(rn):
         W, R, a, h, rhs = (x.take(lanes, 0) for x in (W, R, a, h, rhs))
-    th, theta = [ncfg.damping_init] * len(rn), None
-    a3, h3 = a[:, :, None], h[:, :, None]
+    theta, a3, h3 = None, a[:, :, None], h[:, :, None]
     JI = jac_i(W)  # later Newton matrices reuse the residual's
-    for it in range(1, ncfg.max_iter + 1):
+    while True:
         if theta is None:  # after a compress or a damping
             theta = np.array([th[i] for i in lanes])[:, None]
         J = _eye(d) - a3 * JI + h3 * dphi_i_jac(W)
         if (not math.isfinite(J.sum()) and not np.isfinite(J).all()
-                or d == 1 and min(map(abs, J.ravel().tolist())) < _newton._PIVOT_FLOOR):
+                or d == 1 and _newton._pivot_too_small(J.ravel().tolist())):
             raise FloatingPointError
         delta = (-R / J[:, 0] if d == 1 else
                  np.array([_newton._lu_solve_checked(J_i, -r) for J_i, r in zip(J, R)]))
@@ -281,19 +275,16 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
         FT = FE + FI
         DI = (JI @ FT[:, :, None])[:, :, 0]
         R = W - a * FI + h * DI - rhs
-        new = _norms(R).tolist()
+        new = _newton._norms(R).tolist()
         if not all(map(math.isfinite, new)):
             raise FloatingPointError
         done, keep = [], []
         for j, (i, r) in enumerate(zip(lanes, new)):
-            if r > ncfg.growth_threshold * hist[i][-1]:
-                th[i] *= ncfg.damping_factor
-                theta = None
-            damp[i].append(th[i])
             hist[i].append(r)
-            why = ("absolute" if r <= ncfg.abs_tol else
-                   "relative" if r / hist[i][0] <= ncfg.rel_tol else
-                   "iter_cap" if it == ncfg.max_iter else None)
+            t, why = judge(ncfg, hist[i], th[i])
+            if t != th[i]:
+                th[i], theta = t, None
+            damp[i].append(t)
             (keep if why is None else done).append((j, why))
         if done:
             sel = [j for j, _ in done]
@@ -306,14 +297,13 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
             for m, (j, why) in enumerate(done):
                 i, w = lanes[j], W[j]
                 f = FluxBundle(FE[j], FI[j], DE[m], DI[j], FT[j], DP[m])
-                out[i] = w, f, NewtonResult(w, it, hist[i][-1], why, hist[i], damp[i])
+                out[i] = w, f, NewtonResult(w, len(damp[i]), new[j], why, hist[i], damp[i])
             if not keep:
-                break
+                return out
             sel = [j for j, _ in keep]
             lanes = [lanes[j] for j in sel]
             W, R, a, h, rhs, JI = (x.take(sel, 0) for x in (W, R, a, h, rhs, JI))
             a3, h3, theta = a[:, :, None], h[:, :, None], None
-    return out
 
 
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,

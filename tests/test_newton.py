@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hbpc.core import NonFiniteError
-from hbpc.newton import NewtonConfig, SingularJacobianError, solve
+from hbpc.newton import NewtonConfig, SingularJacobianError, _norm, _norms, judge, solve
 
 
 def _linear(A, b):
@@ -98,6 +98,16 @@ def test_nonfinite_jacobian_raises():
     {"growth_threshold": 0.0},
     {"damping_factor": 1.0},
     {"max_iter": 0},
+    {"max_iter": 2.5},
+    {"max_iter": np.nan},
+    {"abs_tol": np.inf},
+    {"rel_tol": np.inf},
+    {"rel_tol": np.nan},
+    {"abs_tol": np.nan},
+    {"damping_init": 0.0},
+    {"damping_init": -1.0},
+    {"damping_init": 1.5},
+    {"damping_init": np.nan},
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -222,3 +232,70 @@ def test_lu_pivot_floor_matches_min_of_abs_diagonal(J):
     except SingularJacobianError:
         raised = True
     assert raised == _pivot_floor_verdict(J)
+
+
+def _inline_rule(cfg, history, theta):
+    """The reference for ``judge``: the stopping rule as an iteration loop
+    spells it out, (damping, verdict) once ``history`` holds the residual
+    norms of the start and of len(history) - 1 iterations."""
+    it, rnorm = len(history) - 1, history[-1]
+    if it == 0:
+        return cfg.damping_init, "absolute" if rnorm <= cfg.abs_tol else None
+    if rnorm > cfg.growth_threshold * history[-2]:
+        theta *= cfg.damping_factor
+    if rnorm <= cfg.abs_tol:
+        return theta, "absolute"
+    if rnorm / history[0] <= cfg.rel_tol:
+        return theta, "relative"
+    return theta, "iter_cap" if it == cfg.max_iter else None  # the loop ran out
+
+
+_UNIT = st.floats(0.01, 0.99)
+_CONFIGS = st.builds(NewtonConfig, rel_tol=st.floats(1e-16, 0.5),
+                     abs_tol=st.floats(1e-16, 1.0), max_iter=st.integers(1, 6),
+                     growth_threshold=_UNIT, damping_init=st.floats(1e-3, 1.0),
+                     damping_factor=_UNIT)
+_NORMS = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1e-14, 1.0, np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS.flatmap(lambda cfg: st.tuples(
+    st.just(cfg), st.lists(_NORMS, min_size=1, max_size=cfg.max_iter + 1),
+    st.floats(1e-6, 1.0))))
+def test_judge_is_the_inline_rule(case):
+    cfg, history, theta = case
+    # a solve gets this far only if no earlier norm ended it
+    assume(all(_inline_rule(cfg, history[:k], 1.0)[1] is None
+               for k in range(1, len(history))))
+    got = judge(cfg, history, theta if len(history) > 1 else None)
+    assert got == _inline_rule(cfg, history, theta)
+
+
+_DEFAULT = NewtonConfig()
+
+
+@pytest.mark.parametrize("cfg, history, theta, expected", [
+    (_DEFAULT, [1.0], None, (1.0, None)),                       # start, iterate on
+    (_DEFAULT, [1e-14], None, (1.0, "absolute")),               # start at abs_tol
+    (NewtonConfig(damping_init=0.25), [2.0], None, (0.25, None)),
+    (_DEFAULT, [1.0, 0.95], 1.0, (0.5, None)),                  # too little drop: damp
+    (_DEFAULT, [1.0, 0.9], 1.0, (1.0, None)),                   # exactly the threshold
+    (_DEFAULT, [1.0, 0.95, 0.94], 0.5, (0.25, None)),           # damps again
+    (NewtonConfig(abs_tol=0.5, rel_tol=1e-3), [1.0, 0.5], 1.0, (1.0, "absolute")),
+    (NewtonConfig(abs_tol=1e-20), [1.0, 1e-6], 1.0, (1.0, "relative")),
+    (NewtonConfig(max_iter=2), [1.0, 0.5, 0.25], 1.0, (1.0, "iter_cap")),
+    (NewtonConfig(max_iter=2), [1.0, 0.5], 1.0, (1.0, None)),   # one short of the cap
+    (NewtonConfig(max_iter=2), [1.0, 0.5, 0.5], 1.0, (0.5, "iter_cap")),
+])
+def test_judge_examples(cfg, history, theta, expected):
+    assert judge(cfg, history, theta) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.randoms(use_true_random=False),
+       st.sampled_from([1e-160, 1.0, 1e150]))
+def test_norms_rows_are_norm_bitwise(rows, d, rnd, scale):
+    R = np.array([[rnd.uniform(-2, 2) * scale for _ in range(d)] for _ in range(rows)])
+    with np.errstate(all="ignore"):
+        got, ref = _norms(R).tolist(), [_norm(r) for r in R]
+    assert got == ref

@@ -73,6 +73,8 @@ def test_predictor_stage_closed_form():
     {"kmax": 0},
     {"n_steps": 0},
     {"limit_tol": 0.0},
+    {"limit_tol": np.nan},
+    {"limit_tol": np.inf},
     {"limit_max_sweeps": 0},
     {"corrector_start": "blue"},
 ])
