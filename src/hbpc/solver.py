@@ -24,7 +24,9 @@ sweeps of a step reach their fixed point, a correction block reads the same
 state objects as its predecessor, and ``run_blocks`` hands out the
 predecessor's outputs instead of recomputing them (the fixed-point skip).
 A wavefront's blocks are independent, the method's time parallelism, which
-``run_blocks`` brings to one core by solving wide ones as one stack, bitwise.
+``run_blocks`` brings to one core by solving wide ones as one stack, bitwise:
+one builder, ``_jacobi_blocks``, poses the stage systems of a Jacobi block
+alone or of a whole wavefront.
 ``limit_integrate`` keeps its own sweep loop: its red term and stopping rule
 are not the DAG's.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -74,12 +77,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r} (use one of {VARIANTS})")
-        if self.kmax < 1:
-            raise ValueError("kmax must be at least 1")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if not 0 < self.limit_tol < math.inf or self.limit_max_sweeps < 1:
-            raise ValueError("limit_tol must lie in (0, inf), limit_max_sweeps at least 1")
+        builtin(self.q)  # UnsupportedOrderError, a ValueError, for any other order
+        for name in ("q", "kmax", "n_steps", "limit_max_sweeps"):
+            if not (isinstance(getattr(self, name), numbers.Integral)
+                    and getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be an integer, at least 1")
+        if not 0 < self.limit_tol < math.inf:
+            raise ValueError("limit_tol must lie in (0, inf)")
         if self.corrector_start not in CORRECTOR_STARTS:
             raise ValueError(f"corrector_start must be one of {CORRECTOR_STARTS}")
 
@@ -209,13 +213,10 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     return w, FluxBundle(fe, fi, de, di, ftot), res
 
 
-def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
-                  stacks=None):
+def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
     """``_solve_stage`` for B lanes at once on the callbacks' stacked forms:
     lane i solves w - a[i] Phi_I(w) + a[i]^2/2 dPhi_I(w) = rhs[i] from the
     (state, bundle) ``starts[i]``; returns one (w, bundle, result) per lane.
-    ``stacks``, when given, holds the (B, d) stacks of the starts' states,
-    Phi_I and dPhi_I.
 
     Each row, a lane still iterating, takes ``newton.solve``'s steps and its
     ``judge`` verdicts, so it gets bitwise ``_solve_stage``'s results (matmul
@@ -225,22 +226,21 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
     first lane's error. Callers run it under ``np.errstate(all="ignore")``.
     """
     try:
-        return _stacked_newton(p, a, rhs, starts, ncfg, stacks)
+        return _stacked_newton(p, a, rhs, starts, ncfg)
     except (FloatingPointError, _newton.SingularJacobianError):
         return [_solve_stage(p, a_i, rhs_i, StageSource(*start), ncfg)
                 for a_i, rhs_i, start in zip(a, rhs, starts)]
 
 
-def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig,
-                    stacks):
+def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
     # Per-lane norms and dampings are Python floats, bitwise numpy's.
     # A finite sum has finite terms: a finite J.sum() passes J, a finite sum
     # of phi + dphi the four bundle parts; other sums fall to the exact check.
     phi_e, phi_i, jac_e, jac_i, dphi_i_jac = (getattr(p, cb).stack for cb in _CALLBACKS)
     d = rhs.shape[1]
-    W, PI, DPI = stacks or (np.array([w for w, _ in starts]),
-                            np.array([f.phi_i for _, f in starts]),
-                            np.array([f.dphi_i for _, f in starts]))
+    W = np.array([w for w, _ in starts])
+    PI = np.array([f.phi_i for _, f in starts])
+    DPI = np.array([f.dphi_i for _, f in starts])
     a = a[:, None]
     h = 0.5 * a * a
     R = W - a * PI + h * DPI - rhs
@@ -306,6 +306,54 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
             a3, h3, theta = a[:, :, None], h[:, :, None], None
 
 
+def _jacobi_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks,
+                   ncfg: NewtonConfig, start: str | None, stacked: bool = False) -> list:
+    """The stage systems of Jacobi blocks, corrections as (red term, blue
+    (states, bundles)), then maybe a predictor as (source, None), solved by one
+    ``_solve_stages`` when ``stacked``, else by one ``_solve_stage`` per stage;
+    returns what ``correction_block`` and ``predictor_block`` return, per
+    block. Every stage reads only the blocks' inputs: the stage-l quadrature
+    reads the blue Phi and dPhi, and Newton starts at blue stage l
+    (``start`` "hierarchical"), the red term or the source."""
+    m = tab.s - 1
+    corr = [(red, blue) for red, blue in blocks if blue is not None]
+    src = blocks[-1][0] if len(corr) < len(blocks) else None
+    a, rhs, starts = [dt] * (len(corr) * m), [], []
+    with np.errstate(all="ignore"):
+        if corr:
+            blue = [fs for _, (_, fs) in corr]
+            shape = len(corr), tab.s, p.dim
+            phis = np.array([f.phi for fs in blue for f in fs]).reshape(shape)
+            dphis = np.array([f.dphi for fs in blue for f in fs]).reshape(shape)
+            quad = np.array([quadrature(tab, l, dt, phis, dphis) for l in range(1, tab.s)])
+            PI = np.array([[f.phi_i for f in fs[1:]] for fs in blue])
+            DPI = np.array([[f.dphi_i for f in fs[1:]] for fs in blue])
+            reds = np.array([red.w for red, _ in corr])[:, None]
+            rhs.append((reds - dt * PI + 0.5 * dt * dt * DPI
+                        + quad.swapaxes(0, 1)).reshape(-1, p.dim))
+            if start == "hierarchical":
+                starts = [(w, f) for _, (ws, fs) in corr for w, f in zip(ws[1:], fs[1:])]
+            else:
+                starts = [(red.w, red.f) for red, _ in corr for _ in range(m)]
+        if src is not None:
+            c = tab.c[1:] * dt
+            a += c.tolist()
+            rhs.append(src.w + c[:, None] * src.f.phi_e
+                       + (0.5 * c * c)[:, None] * src.f.dphi_e)
+            starts += [(src.w, src.f)] * m
+        rhs = np.concatenate(rhs)
+        if stacked:
+            solved = _solve_stages(p, np.array(a), rhs, starts, ncfg)
+        else:
+            solved = [_solve_stage(p, a_i, rhs_i, StageSource(*s), ncfg)
+                      for a_i, rhs_i, s in zip(a, rhs, starts)]
+    outs = []
+    for b, (src, _) in enumerate(blocks):
+        ws, fs, results = zip(*solved[b * m:(b + 1) * m])
+        outs.append(([src.w, *ws], [src.f, *fs], [_copy_result(src.w), *results]))
+    return outs
+
+
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
                     src: StageSource, ncfg: NewtonConfig):
     """All predictor stages from one source; returns (states, bundles, results).
@@ -314,19 +362,7 @@ def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
     w = w_src + c_l dt (Phi_I(w) + Phi_E(w_src))
           + (c_l dt)^2/2 (dPhi_E(w_src) - dPhi_I(w)); stage 0 copies the source.
     """
-    ws, fs, results = [], [], []
-    with np.errstate(all="ignore"):
-        for l in range(tab.s):
-            if l == 0:
-                w, f, res = src.w, src.f, _copy_result(src.w)
-            else:
-                a = tab.c[l] * dt
-                rhs = src.w + a * src.f.phi_e + 0.5 * a * a * src.f.dphi_e
-                w, f, res = _solve_stage(p, a, rhs, src, ncfg)
-            ws.append(w)
-            fs.append(f)
-            results.append(res)
-    return ws, fs, results
+    return _jacobi_blocks(p, tab, dt, [(src, None)], ncfg, None)[0]
 
 
 def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
@@ -335,25 +371,23 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
     """One full correction sweep over the stages; returns (states, bundles, results).
 
     Stage 0 copies the red term; stage l > 0 adds to it the implicit
-    difference against blue stage l and the quadrature, which reads one (s, d)
-    stack of the blue Phi and dPhi, built once per sweep; a Gauss-Seidel sweep
-    overwrites row l with the fresh fluxes of stage l once it is solved.
+    difference against blue stage l and the quadrature (``_jacobi_blocks``).
+    A Gauss-Seidel sweep solves stage by stage: its quadrature reads one
+    (s, d) stack of Phi and dPhi whose row 0 is the red term's and whose row
+    l is blue stage l's until stage l is solved, then the fresh fluxes.
     """
-    phis = np.array([b.phi for b in blue_f])
-    dphis = np.array([b.dphi for b in blue_f])
-    ws, fs, results = [], [], []
+    if not gauss_seidel:
+        return _jacobi_blocks(p, tab, dt, [(red, (blue_w, blue_f))], ncfg, start)[0]
+    phis = np.array([red.f.phi, *(f.phi for f in blue_f[1:])])
+    dphis = np.array([red.f.dphi, *(f.dphi for f in blue_f[1:])])
+    ws, fs, results = [red.w], [red.f], [_copy_result(red.w)]
     with np.errstate(all="ignore"):
-        for l in range(tab.s):
-            if l == 0:
-                w, f, res = red.w, red.f, _copy_result(red.w)
-            else:
-                i_l = quadrature(tab, l, dt, phis, dphis)
-                rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
-                src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
-                w, f, res = _solve_stage(p, dt, rhs, src, ncfg)
-            if gauss_seidel:
-                phis[l] = f.phi
-                dphis[l] = f.dphi
+        for l in range(1, tab.s):
+            i_l = quadrature(tab, l, dt, phis, dphis)
+            rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
+            src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
+            w, f, res = _solve_stage(p, dt, rhs, src, ncfg)
+            phis[l], dphis[l] = f.phi, f.dphi
             ws.append(w)
             fs.append(f)
             results.append(res)
@@ -405,50 +439,6 @@ def _reads_same(red_w: Array, blue_w, read) -> bool:
     return red_w is read[0] and all(a is b for a, b in zip(blue_w, read[1]))
 
 
-def _stacked_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks,
-                    ncfg: NewtonConfig, start: str) -> list:
-    """Jacobi corrections as (red term, blue (states, bundles)), then maybe a
-    predictor as (source, None), solved by one ``_solve_stages``; returns
-    bitwise what ``correction_block`` and ``predictor_block`` return."""
-    m, d = tab.s - 1, p.dim
-    corr = [(red, blue) for red, blue in blocks if blue is not None]
-    if start == "hierarchical":
-        starts = [(w, f) for _, (ws, fs) in corr for w, f in zip(ws[1:], fs[1:])]
-    else:
-        starts = [(red.w, red.f) for red, _ in corr for _ in range(m)]
-    src = blocks[-1][0] if len(corr) < len(blocks) else None
-    starts += [(src.w, src.f)] * m if src else []
-    stacks = [np.array([w for w, _ in starts]), np.array([f.phi_i for _, f in starts]),
-              np.array([f.dphi_i for _, f in starts])]
-    a, rhs = [np.full(len(corr) * m, dt)], []
-    with np.errstate(all="ignore"):
-        if corr:
-            blue = [f for _, (_, fs) in corr for f in fs]
-            phis = np.array([f.phi for f in blue]).reshape(len(corr), tab.s, d)
-            dphis = np.array([f.dphi for f in blue]).reshape(len(corr), tab.s, d)
-            quad = (dt * (tab.b1[1:, None, :] @ phis[:, None])[:, :, 0]
-                    + dt * dt * (tab.b2[1:, None, :] @ dphis[:, None])[:, :, 0])
-            if start == "hierarchical":  # the blue bundles are the starts'
-                PI, DPI = stacks[1][:len(a[0])], stacks[2][:len(a[0])]
-            else:
-                blue = [f for _, (_, fs) in corr for f in fs[1:]]
-                PI, DPI = np.array([f.phi_i for f in blue]), np.array([f.dphi_i for f in blue])
-            reds = np.array([red.w for red, _ in corr])[:, None]
-            rhs.append((reds - dt * PI.reshape(quad.shape)
-                        + 0.5 * dt * dt * DPI.reshape(quad.shape) + quad).reshape(-1, d))
-        if src is not None:
-            a.append(tab.c[1:] * dt)
-            rhs.append(src.w + a[-1][:, None] * src.f.phi_e
-                       + (0.5 * a[-1] * a[-1])[:, None] * src.f.dphi_e)
-        solved = _solve_stages(p, np.concatenate(a), np.concatenate(rhs), starts, ncfg,
-                               stacks)
-    outs = []
-    for b, (src, _) in enumerate(blocks):
-        ws, fs, results = zip(*solved[b * m:(b + 1) * m])
-        outs.append(([src.w, *ws], [src.f, *fs], [_copy_result(src.w), *results]))
-    return outs
-
-
 def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
                receive=None, send=None, keep_traces: bool = False) -> list:
     """Compute Block(n, k) for every step n and every k in ``iterates``, one
@@ -475,7 +465,8 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
 
     A wavefront's blocks left to solve run one by one, or, as Jacobi sweeps
     (Alg1, LO) of a problem with stacked callbacks holding ``_MIN_STACK`` or
-    more stage solves, through one ``_stacked_blocks`` call: the same bits.
+    more stage solves, through one stacked ``_jacobi_blocks`` call, the
+    builder behind ``predictor_block`` and ``correction_block``: the same bits.
     """
     tab = builtin(cfg.q)
     dt = p.t_end / cfg.n_steps
@@ -516,8 +507,8 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
             front.append((n, k, src, blue, outputs))
         todo = [b for b in front if b[4] is None]
         if stackable and len(todo) * (tab.s - 1) >= _MIN_STACK:
-            outs = _stacked_blocks(p, tab, dt, [(b[2], b[3]) for b in todo], cfg.newton,
-                                   cfg.corrector_start)
+            outs = _jacobi_blocks(p, tab, dt, [(b[2], b[3]) for b in todo], cfg.newton,
+                                  cfg.corrector_start, stacked=True)
         else:
             outs = [predictor_block(p, tab, dt, src, cfg.newton) if blue is None
                     else correction_block(p, tab, dt, src, *blue, gauss_seidel,

@@ -72,8 +72,10 @@ def quadrature(tab: TwoDerivativeTableau, l: int, dt: float, phis, dphis) -> Arr
     """Stage-l quadrature  dt * sum_j b1[l,j] phis[j] + dt^2 * sum_j b2[l,j] dphis[j].
 
     ``phis``/``dphis`` are (s, d) arrays, or sequences of s state-shaped
-    vectors, of flux values and flux derivatives at the stage states. Exact for polynomial integrands up
-    to degree q - 1 over [0, c_l * dt].
+    vectors, of flux values and flux derivatives at the stage states; (B, s, d)
+    stacks of B such blocks give the (B, d) quadratures, row b bitwise that of
+    block b alone. Exact for polynomial integrands up to degree q - 1 over
+    [0, c_l * dt].
     """
     if not 0 <= l < tab.s:
         raise ValueError(f"stage index {l} outside 0..{tab.s - 1}")

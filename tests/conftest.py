@@ -32,18 +32,22 @@ def no_live_child_process():
 
 @pytest.fixture
 def computed_corrections(monkeypatch):
-    """A list whose sum counts the correction blocks the solver computes,
-    whether one by one (``correction_block``) or stacked (``_stacked_blocks``)."""
+    """A list whose sum counts the correction blocks the solver computes:
+    Jacobi ones where their stage systems are built (``_jacobi_blocks``, one
+    block or a stacked wavefront), Gauss-Seidel ones in ``correction_block``."""
     import hbpc.solver as solver_mod
 
     counts = []
-    block, stacked = solver_mod.correction_block, solver_mod._stacked_blocks
+    block, jacobi = solver_mod.correction_block, solver_mod._jacobi_blocks
 
-    def count_stacked(p, tab, dt, blocks, *rest):
+    def count_jacobi(p, tab, dt, blocks, *rest, **kwargs):
         counts.append(sum(blue is not None for _, blue in blocks))
-        return stacked(p, tab, dt, blocks, *rest)
+        return jacobi(p, tab, dt, blocks, *rest, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "correction_block",
-                        lambda *args: counts.append(1) or block(*args))
-    monkeypatch.setattr(solver_mod, "_stacked_blocks", count_stacked)
+    def count_gauss_seidel(*args):
+        counts.append(int(args[6]))  # the gauss_seidel argument
+        return block(*args)
+
+    monkeypatch.setattr(solver_mod, "correction_block", count_gauss_seidel)
+    monkeypatch.setattr(solver_mod, "_jacobi_blocks", count_jacobi)
     return counts

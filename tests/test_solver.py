@@ -77,6 +77,10 @@ def test_predictor_stage_closed_form():
     {"limit_tol": np.inf},
     {"limit_max_sweeps": 0},
     {"corrector_start": "blue"},
+    {"q": 5},
+    {"kmax": 2.5},
+    {"n_steps": 2.5},
+    {"limit_max_sweeps": 2.5},
 ])
 def test_solver_config_validation(kw):
     with pytest.raises(ValueError):
@@ -454,6 +458,34 @@ def test_correction_sweep_equals_restacking_per_stage_bitwise(name, start,
             if l:
                 assert results[l].residual_history == ref_hist[l]
         blue_w, blue_f = ws, fs
+
+
+@pytest.mark.parametrize("start", ["hierarchical", "red"])
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_gauss_seidel_quadrature_row_zero_is_the_red_term(name, start):
+    # In a run the red term of Block(n, k) is not blue stage 0 (the red term
+    # of Block(n, k-1)); here red is blue's last stage. A Gauss-Seidel sweep's
+    # quadrature reads the red term's Phi and dPhi in row 0, a Jacobi sweep's
+    # blue stage 0's, and the two differ from stage 1 on.
+    from hbpc.solver import correction_block, predictor_block
+
+    p = make(name)
+    tab = builtin(8)
+    dt = p.t_end / 40
+    blue_w, blue_f, _ = predictor_block(p, tab, dt, _start(p, p.w0.copy()), NewtonConfig())
+    red = StageSource(blue_w[-1], blue_f[-1])
+    assert red.f.phi.tobytes() != blue_f[0].phi.tobytes()
+    ws, fs, results = correction_block(p, tab, dt, red, blue_w, blue_f, True,
+                                       NewtonConfig(), start)
+    ref_ws, ref_fs, ref_hist = _sweep_restacking_per_stage(
+        p, tab, dt, red, blue_w, blue_f, True, start)
+    for l in range(1, tab.s):
+        assert ws[l].tobytes() == ref_ws[l].tobytes()
+        assert fs[l].dphi.tobytes() == ref_fs[l].dphi.tobytes()
+        assert results[l].residual_history == ref_hist[l]
+    jacobi_ws = _sweep_restacking_per_stage(p, tab, dt, red, blue_w, blue_f, False,
+                                            start)[0]
+    assert ws[1].tobytes() != jacobi_ws[1].tobytes()
 
 
 # -- the fixed-point skip in run_blocks -----------------------------------------

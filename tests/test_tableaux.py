@@ -74,6 +74,25 @@ def test_quadrature_rejects_bad_stage():
         quadrature(tab, 2, 0.1, np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("q", [4, 6, 8])
+def test_quadrature_on_stacks_is_per_block_bitwise(q, d):
+    """A (B, s, d) stack gives row for row the (s, d) quadrature of each block."""
+    tab = builtin(q)
+    rng = np.random.default_rng(q * 10 + d)
+    B = 5
+    phis = rng.standard_normal((B, tab.s, d)) * 10.0 ** rng.integers(-6, 6, (B, tab.s, d))
+    dphis = rng.standard_normal((B, tab.s, d)) * 10.0 ** rng.integers(-6, 6, (B, tab.s, d))
+    for l in range(tab.s):
+        got = quadrature(tab, l, 0.37, phis, dphis)
+        assert got.shape == (B, d)
+        for b in range(B):
+            one = quadrature(tab, l, 0.37, phis[b].copy(), dphis[b].copy())
+            assert got[b].tobytes() == one.tobytes()
+    with pytest.raises(ValueError):
+        quadrature(tab, tab.s, 0.37, phis, dphis)
+
+
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10),
        dt=st.floats(1e-3, 1.0))
 def test_quadrature_linear_in_fluxes(a, b, dt):
