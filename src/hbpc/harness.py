@@ -2,8 +2,9 @@
 
 A study sweeps the step count N over a fixed problem/method configuration
 and records per-iterate errors at t_end, wallclock, and Newton-iteration
-tallies grouped by pipeline worker. With timing disabled (the default) the
-CSV artifact is byte-identical across reruns of the same configuration;
+tallies grouped by pipeline worker; its independent N values run on the
+usable CPUs. With timing disabled (the default) the CSV artifact is
+byte-identical across reruns of the same configuration, on any CPU count;
 enabling timing (or running the speedup study, whose wallclock columns are
 the data) trades that away.
 
@@ -16,18 +17,21 @@ by problem id and parameters.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import Array, SplitProblem, _as_state
+from . import pipeline as _pipeline
 from .newton import NewtonConfig
 from .pipeline import WorkerAssignment, integrate_parallel
 from .problems import make
-from .solver import (CapExceededError, NoConvergenceError, RunResult,
-                     SolverConfig, adaptive_kmax, integrate, known_reference)
+from .solver import (CapExceededError, NoConvergenceError, SolverConfig,
+                     adaptive_kmax, integrate, known_reference)
 
 ERROR_FLOOR = 1e-13
 REF_CACHE_ENV = "HBPC_REF_CACHE"
@@ -67,6 +71,9 @@ class StudyConfig:
     ref_cache: Optional[str] = None
 
     def __post_init__(self):
+        for n in self.n_values:
+            if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) >= 1):
+                raise ValueError(f"n_values must be whole numbers >= 1, got {n!r}")
         object.__setattr__(self, "n_values",
                            tuple(int(n) for n in self.n_values))
         if not self.n_values:
@@ -195,17 +202,10 @@ def _solver_config(cfg: StudyConfig, n: int) -> SolverConfig:
                         limit_max_sweeps=cfg.limit_max_sweeps)
 
 
-def _run_one(p: SplitProblem, cfg: StudyConfig, n: int,
-             reference: Array) -> RunResult:
+def _study_row(p: SplitProblem, cfg: StudyConfig, n: int, reference: Array) -> ConvergenceRow:
     scfg = _solver_config(cfg, n)
-    if cfg.parallel:
-        return integrate_parallel(p, scfg, workers=cfg.workers,
-                                  reference=reference)
-    return integrate(p, scfg, reference=reference)
-
-
-def _row_from_run(cfg: StudyConfig, p: SplitProblem, n: int,
-                  run: RunResult) -> ConvergenceRow:
+    run = (integrate_parallel(p, scfg, workers=cfg.workers, reference=reference)
+           if cfg.parallel else integrate(p, scfg, reference=reference))
     newton = tuple(int(sum(run.newton_per_iterate[k] for k in g))
                    for g in newton_partition(cfg.variant, cfg.kmax))
     return ConvergenceRow(n=n, dt=p.t_end / n,
@@ -214,30 +214,49 @@ def _row_from_run(cfg: StudyConfig, p: SplitProblem, n: int,
                           newton=newton)
 
 
-def run_convergence_study(cfg: StudyConfig) -> ConvergenceTable:
-    """One ConvergenceRow per N; deterministic given cfg (timing off).
+def _study_groups(cfg: StudyConfig) -> list:
+    """cfg.n_values in groups for a study's processes, the largest N first, each
+    to the group with the least total N; one group when the pipeline takes the
+    CPUs, the wallclock is data, or the caller is daemonic (has no children)."""
+    mp = sys.modules.get("multiprocessing")
+    if cfg.parallel or cfg.timing or mp and mp.current_process().daemon:
+        return [cfg.n_values]
+    groups = [[] for _ in range(min(len(cfg.n_values), _pipeline._usable_cpus()))]
+    for n in sorted(cfg.n_values, reverse=True):
+        min(groups, key=sum).insert(0, n)
+    return groups
 
-    Raises MissingReferenceError without a resolvable reference; solver
-    errors propagate after flushing the partial table to cfg.out.
-    """
+
+def run_convergence_study(cfg: StudyConfig) -> ConvergenceTable:
+    """One ConvergenceRow per N; deterministic given cfg (timing off). The first
+    of ``_study_groups`` runs here, the others in forked children. Raises
+    MissingReferenceError without a resolvable reference; the smallest failing
+    N's solver error propagates after the rows below that N go to cfg.out."""
     p = _study_problem(cfg)
     ref = resolve_reference(p, cfg)
     if ref is None:
         raise MissingReferenceError(
             f"no reference solution for {p.name} at t_end={p.t_end}; "
             f"supply one or populate the {REF_CACHE_ENV} cache")
-    rows = []
-    try:
-        for n in cfg.n_values:
-            run = _run_one(p, cfg, n, ref)
-            rows.append(_row_from_run(cfg, p, n, run))
-    except Exception:
-        if cfg.out and rows:
-            write_csv(cfg.out, ConvergenceTable(tuple(rows), p.t_end))
-        raise
-    table = ConvergenceTable(tuple(rows), p.t_end)
-    if cfg.out:
+    groups = _study_groups(cfg)
+
+    def run_group(g: int):  # ascending N up to the first failure, kept as data
+        rows = []
+        for n in groups[g]:
+            try:
+                rows.append(_study_row(p, cfg, n, ref))
+            except Exception as exc:  # noqa: BLE001 - raised below if its N is smallest
+                return rows, (n, exc)
+        return rows, None
+
+    done = _pipeline.fork_join(run_group, len(groups), "hbpc-study", local=True)
+    stop, exc = min((f for _, f in done if f), key=lambda f: f[0], default=(math.inf, None))
+    table = ConvergenceTable(tuple(sorted((r for rows, _ in done for r in rows if r.n < stop),
+                                          key=lambda r: r.n)), p.t_end)
+    if cfg.out and table.rows:
         write_csv(cfg.out, table)
+    if exc is not None:
+        raise exc
     return table
 
 

@@ -19,9 +19,9 @@ without blocking for up to ``_SPIN_S`` before it sleeps, so it stays on its
 CPU through the gap in which a partner computes the block; once nothing has
 arrived for ``channel_timeout`` seconds it raises ``DeadlockError`` naming the
 logical channel. ``channel_log`` records the logical hand-offs per worker
-pair, crossing or not, so it does not depend on the CPU count. A process's
-exception reaches the caller with its type, message and notes, once every
-process is terminated and joined.
+pair, crossing or not, so it does not depend on the CPU count. ``fork_join``,
+shared with the study harness, forks the processes and joins them: a
+process's exception reaches the caller with its type, message and notes.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -201,6 +201,59 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
     return inbox.pop((b.n, b.k))
 
 
+def fork_join(job, count: int, name: str, local: bool = False) -> list:
+    """[job(0), ..., job(count - 1)]: job(0) here if ``local``, every other in a
+    forked child f"{name}-{c}" (a spawned child could not be sent the closures
+    of a problem, so call it while no other thread runs); one local job forks
+    nothing. A child's exception is re-raised here with its type, message,
+    attributes and notes, one that exits without a result raises RuntimeError
+    naming it, and every child is terminated and joined before this returns."""
+    if local and count == 1:
+        return [job(0)]
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    kids = range(int(local), count)
+    results = {c: ctx.Pipe(duplex=False) for c in kids}
+
+    def run(c: int):
+        try:
+            results[c][1].send(job(c))
+        except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+            results[c][1].send(exc)
+
+    children = {c: ctx.Process(target=run, args=(c,), name=f"{name}-{c}", daemon=True)
+                for c in kids}
+    got = {}
+    try:
+        for child in children.values():
+            child.start()
+        if local:
+            got[0] = job(0)
+        while len(got) < count:
+            pending = [c for c in kids if c not in got]
+            wait([results[c][0] for c in pending] + [children[c].sentinel for c in pending])
+            for c in pending:
+                exited = not children[c].is_alive()  # then it has sent all it will
+                if results[c][0].poll():
+                    got[c] = results[c][0].recv()
+                    if isinstance(got[c], Exception):
+                        raise got[c]
+                elif exited:
+                    raise RuntimeError(f"process {children[c].name} (pid {children[c].pid}) "
+                                       f"exited with code {children[c].exitcode} without a result")
+    finally:
+        for child in children.values():
+            if child.is_alive():
+                child.terminate()
+            if child.pid is not None:  # a failed fork leaves the rest unstarted
+                child.join()
+        for conn in [c for pair in results.values() for c in pair]:
+            conn.close()
+    return [got[c] for c in range(count)]
+
+
 def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None = None,
                        reference=None, channel_log: dict | None = None,
                        channel_timeout: float = 120.0) -> RunResult:
@@ -209,11 +262,10 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     ``workers`` is checked against the variant's required count when given.
     ``channel_log``, if supplied as a dict, is filled with the sequence of
     step indices handed over each logical channel, whether or not the hand-off
-    crossed a process (for discipline checks). The workers are forked, so call
-    it while no other thread of the caller is running.
+    crossed a process (for discipline checks). The workers are forked
+    (``fork_join``), so call it while no other thread of the caller is running.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
+    from multiprocessing import Pipe
 
     if cfg.variant not in ("Alg1", "Alg2", "LO"):
         raise ValueError(f"variant {cfg.variant!r} has no pipelined executor")
@@ -241,11 +293,7 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
                 names[w, v] = f"up{w}" if v > w else f"down{v}"
 
     seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
-    # fork: the problem's callbacks are closures, which a spawned child could
-    # not be sent
-    ctx = multiprocessing.get_context("fork")
-    pipes = {(a, b): ctx.Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
-    results = [ctx.Pipe(duplex=False) for _ in range(C)]
+    pipes = {(a, b): Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
 
     def work(c: int):
         ins = [r for (_, b), (r, _) in pipes.items() if b == c]
@@ -272,41 +320,15 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
                                            else _pack(b, ws[-1:], fs[-1:]))
 
         iterates = [k for v in range(P) if proc[v] == c for k in asg.iterates(v)]
-        try:
-            out = run_blocks(p, cfg, seed, iterates, receive, send), log
-        except Exception as exc:  # noqa: BLE001 - the parent re-raises it
-            out = exc
-        results[c][1].send(out)
+        return run_blocks(p, cfg, seed, iterates, receive, send), log
 
-    children = [ctx.Process(target=work, args=(c,), name=f"hbpc-pipeline-{c}",
-                            daemon=True) for c in range(C)]
-    got = [None] * C
     t0 = time.perf_counter()
     try:
-        for child in children:
-            child.start()
-        while None in got:
-            live = [c for c in range(C) if got[c] is None]
-            wait([results[c][0] for c in live] + [children[c].sentinel for c in live])
-            for c in live:
-                exited = not children[c].is_alive()  # then it has sent all it will
-                if results[c][0].poll():
-                    got[c] = results[c][0].recv()
-                    if isinstance(got[c], Exception):
-                        raise got[c]
-                elif exited:
-                    raise RuntimeError(
-                        f"pipeline process {children[c].name} (pid {children[c].pid}) "
-                        f"exited with code {children[c].exitcode} without a result")
+        got = fork_join(work, C, "hbpc-pipeline")
     finally:
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-            if child.pid is not None:  # a failed fork leaves the rest unstarted
-                child.join()
-        wallclock = time.perf_counter() - t0
-        for conn in [c for pair in [*pipes.values(), *results] for c in pair]:
+        for conn in [c for pair in pipes.values() for c in pair]:
             conn.close()
+    wallclock = time.perf_counter() - t0
 
     if channel_log is not None:
         for _, log in got:

@@ -54,9 +54,13 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
         raise ValueError("alpha must lie in [0, 1]")
     beta = 1.0 - alpha
 
+    memo = (None, None)  # (w, its power), one tuple: phi_e and phi_i share it
+
     def full(w):
-        # array ** gives a (B, 1) stack the bits it gives each row alone
-        return -w ** -2.5
+        nonlocal memo
+        if memo[0] is not w:  # by identity: no state is updated in place
+            memo = (w, -w ** -2.5)  # a (B, 1) stack gets each row's own bits
+        return memo[1]
 
     def phi_e(w):
         return alpha * full(w)

@@ -21,7 +21,7 @@ the inputs each reads (``dependencies``) form a DAG. ``run_blocks`` computes
 the blocks of some iterates one wavefront of the DAG at a time: ``integrate``
 runs it over every iterate, each pipeline worker over its own. Once the
 sweeps of a step reach their fixed point, a correction block reads the same
-state objects as its predecessor, and ``run_blocks`` hands out the
+state bits as its predecessor, and ``run_blocks`` hands out the
 predecessor's outputs instead of recomputing them (the fixed-point skip).
 A wavefront's blocks are independent, the method's time parallelism, which
 ``run_blocks`` brings to one core by solving wide ones as one stack, bitwise:
@@ -325,12 +325,12 @@ def _jacobi_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks
             shape = len(corr), tab.s, p.dim
             phis = np.array([f.phi for fs in blue for f in fs]).reshape(shape)
             dphis = np.array([f.dphi for fs in blue for f in fs]).reshape(shape)
-            quad = np.array([quadrature(tab, l, dt, phis, dphis) for l in range(1, tab.s)])
+            quad = quadrature(tab, list(range(1, tab.s)), dt, phis, dphis)
             PI = np.array([[f.phi_i for f in fs[1:]] for fs in blue])
             DPI = np.array([[f.dphi_i for f in fs[1:]] for fs in blue])
             reds = np.array([red.w for red, _ in corr])[:, None]
             rhs.append((reds - dt * PI + 0.5 * dt * dt * DPI
-                        + quad.swapaxes(0, 1)).reshape(-1, p.dim))
+                        + quad).reshape(-1, p.dim))
             if start == "hierarchical":
                 starts = [(w, f) for _, (ws, fs) in corr for w, f in zip(ws[1:], fs[1:])]
             else:
@@ -434,9 +434,10 @@ _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
 
 
 def _reads_same(red_w: Array, blue_w, read) -> bool:
-    """Whether a correction block's red state and blue states are the very
-    objects another block ``read`` (its (red state, blue states, results))."""
-    return red_w is read[0] and all(a is b for a, b in zip(blue_w, read[1]))
+    """Whether a correction block's red state and blue states hold the bits
+    of those another block ``read`` (its (red state, blue states, results))."""
+    return all(a is b or a.tobytes() == b.tobytes()
+               for a, b in zip((red_w, *blue_w), (read[0], *read[1])))
 
 
 def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
@@ -458,8 +459,8 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
     in the loop is ``eval_bundle`` of its own state (the ``_solve_stage``
     contract), so the loop never has to look at bundles to know two inputs
     agree. Once the sweeps of a step sit at their fixed point, a correction
-    Block(n, k) reads the very state objects Block(n, k-1) read; when k-1 is
-    a correction this loop computes, the loop then hands out Block(n, k-1)'s
+    Block(n, k) reads the state bits Block(n, k-1) read; when k-1 is a
+    correction this loop computes, the loop then hands out Block(n, k-1)'s
     states, bundles and Newton results again instead of solving, which is
     bitwise what the solve would give.
 

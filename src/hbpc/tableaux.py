@@ -68,19 +68,23 @@ def builtin(q: int) -> TwoDerivativeTableau:
     return TwoDerivativeTableau(q=q, s=q // 2, c=c, b1=b1, b2=b2)
 
 
-def quadrature(tab: TwoDerivativeTableau, l: int, dt: float, phis, dphis) -> Array:
+def quadrature(tab: TwoDerivativeTableau, l, dt: float, phis, dphis) -> Array:
     """Stage-l quadrature  dt * sum_j b1[l,j] phis[j] + dt^2 * sum_j b2[l,j] dphis[j].
 
     ``phis``/``dphis`` are (s, d) arrays, or sequences of s state-shaped
     vectors, of flux values and flux derivatives at the stage states; (B, s, d)
     stacks of B such blocks give the (B, d) quadratures, row b bitwise that of
-    block b alone. Exact for polynomial integrands up to degree q - 1 over
-    [0, c_l * dt].
+    block b alone; a list ``l`` of m stages gives (m, d) or (B, m, d), each row
+    bitwise that stage's alone. Exact for polynomial integrands up to degree
+    q - 1 over [0, c_l * dt].
     """
-    if not 0 <= l < tab.s:
+    if not all(0 <= i < tab.s for i in (l if isinstance(l, list) else [l])):
         raise ValueError(f"stage index {l} outside 0..{tab.s - 1}")
     phis = np.asarray(phis, dtype=float)
     dphis = np.asarray(dphis, dtype=float)
+    if isinstance(l, list):  # (m, 1, s) @ (..., 1, s, d): (m, s) @ gives other bits
+        return (dt * (tab.b1[l, None] @ phis[..., None, :, :])
+                + dt * dt * (tab.b2[l, None] @ dphis[..., None, :, :]))[..., 0, :]
     return dt * (tab.b1[l] @ phis) + dt * dt * (tab.b2[l] @ dphis)
 
 

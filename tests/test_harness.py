@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbpc.harness as harness
-from hbpc.core import SplitProblem
+import hbpc.pipeline as pipeline
+from hbpc.core import NonFiniteError, SplitProblem
 from hbpc.harness import (ConvergenceRow, ConvergenceTable,
                           InsufficientDataError, MismatchedResultsError,
                           MissingReferenceError, StudyConfig, cache_key,
@@ -158,6 +163,10 @@ def test_study_config_validation():
         StudyConfig(problem="scalar_pow", variant="Limit", parallel=True)
     cfg = StudyConfig(problem="scalar_pow", n_values=(10.0, 20.0))
     assert cfg.n_values == (10, 20)
+    for bad, values in ((10.5, (10.5, 20)), (0, (0, 5)), (-4, (-4, 8)),
+                        ("10", ("10", 20)), (math.inf, (10, math.inf))):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            StudyConfig(problem="scalar_pow", n_values=values)
 
 
 # ----------------------------------------------------------- reference cache
@@ -241,11 +250,9 @@ def test_convergence_study_requires_reference():
 def test_convergence_study_flushes_partial_csv(tmp_path, monkeypatch):
     out = tmp_path / "partial.csv"
     real = harness.integrate
-    calls = {"n": 0}
 
     def failing(p, scfg, reference=None, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        if scfg.n_steps == 8:
             raise RuntimeError("boom")
         return real(p, scfg, reference=reference, **kw)
 
@@ -256,6 +263,147 @@ def test_convergence_study_flushes_partial_csv(tmp_path, monkeypatch):
         run_convergence_study(cfg)
     table = parse_csv(str(out), 0.25)
     assert [r.n for r in table.rows] == [4]
+
+
+# ------------------------------------------------- the N sweep's processes
+
+def _closure_decay():
+    """w' = -w, split 0.3 / 0.7, from closures: a spawned child could not
+    be sent it."""
+    return SplitProblem(dim=1, phi_e=lambda w: -0.3 * w, phi_i=lambda w: -0.7 * w,
+                        w0=np.ones(1), t_end=1.0,
+                        jac_e=lambda w: -0.3 * np.eye(1), jac_i=lambda w: -0.7 * np.eye(1),
+                        dphi_i_jac=lambda w: 0.7 * np.eye(1),
+                        exact=lambda t: np.exp(-t) * np.ones(1), name="closure_decay")
+
+
+def _patch_integrate(monkeypatch, then):
+    """harness.integrate calls ``then(n)`` before solving N = n."""
+    real = harness.integrate
+
+    def patched(p, scfg, reference=None, **kw):
+        then(scfg.n_steps)
+        return real(p, scfg, reference=reference, **kw)
+
+    monkeypatch.setattr(harness, "integrate", patched)
+
+
+def test_study_groups_take_the_largest_n_first(monkeypatch):
+    cfg = StudyConfig(problem="scalar_pow", n_values=(40, 80, 160, 320, 640))
+    for cpus, groups in ((1, [[40, 80, 160, 320, 640]]),
+                         (2, [[640], [40, 80, 160, 320]]),
+                         (3, [[640], [320], [40, 80, 160]]),
+                         (8, [[640], [320], [160], [80], [40]])):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        assert harness._study_groups(cfg) == groups
+
+
+@pytest.mark.parametrize("variant,kmax", [("Alg1", 3), ("Alg2", 3), ("LO", 2)])
+@pytest.mark.parametrize("problem", ["scalar_pow", "closures"])
+def test_study_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, problem,
+                                                        variant, kmax):
+    p = "scalar_pow" if problem == "scalar_pow" else _closure_decay()
+    cfg = StudyConfig(problem=p, variant=variant, q=4, kmax=kmax,
+                      n_values=(4, 6, 8, 12, 16))
+    texts = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        texts.append(render_csv(run_convergence_study(cfg)))
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_a_childs_error_reaches_the_caller_with_its_notes(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fail_in_child(n):
+        if os.getpid() != parent and n == 8:
+            exc = NonFiniteError("flux undefined at N=8")
+            exc.step = 3
+            exc.add_note("raised in a study child")
+            raise exc
+
+    _patch_integrate(monkeypatch, fail_in_child)
+    with pytest.raises(NonFiniteError, match="flux undefined at N=8") as info:
+        run_convergence_study(StudyConfig(problem="scalar_pow", n_values=(4, 8, 16)))
+    assert info.value.__notes__ == ["raised in a study child"]
+    assert info.value.step == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_smallest_failing_n_decides_across_groups(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    cfg = StudyConfig(problem="scalar_pow", n_values=(4, 8, 16), out=str(tmp_path / "p.csv"))
+    groups = harness._study_groups(cfg)
+    assert not any(8 in g and 16 in g for g in groups)
+
+    def fail(n):
+        if n in (8, 16):
+            raise RuntimeError(f"boom at N={n}")
+
+    _patch_integrate(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="boom at N=8"):
+        run_convergence_study(cfg)
+    assert [r.n for r in parse_csv(cfg.out, 0.25).rows] == [4]
+
+
+def test_a_child_exit_without_a_result_raises_promptly(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def exit_in_child(n):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _patch_integrate(monkeypatch, exit_in_child)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError,
+                       match=r"process hbpc-study-1 \(pid \d+\) exited with code 3"):
+        run_convergence_study(StudyConfig(problem="scalar_pow", n_values=(4, 8, 16)))
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def _pids_per_n(monkeypatch, cfg):
+    """{N: pid of the process that solved it} seen from this process."""
+    seen = {}
+    real = harness.integrate_parallel
+    _patch_integrate(monkeypatch, lambda n: seen.__setitem__(n, os.getpid()))
+
+    def parallel(p, scfg, workers=None, reference=None, **kw):
+        seen[scfg.n_steps] = os.getpid()
+        return real(p, scfg, workers=workers, reference=reference, **kw)
+
+    monkeypatch.setattr(harness, "integrate_parallel", parallel)
+    run_convergence_study(cfg)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["one N", "timing", "parallel", "daemonic", "forked"])
+def test_which_studies_run_every_n_in_the_calling_process(monkeypatch, case):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    cfg = StudyConfig(**{"problem": "scalar_pow", "n_values": (4, 8, 16),
+                         **{"one N": {"n_values": (8,)}, "timing": {"timing": True},
+                            "parallel": {"parallel": True}}.get(case, {})})
+    if case == "daemonic":
+        reader, writer = multiprocessing.Pipe(duplex=False)
+
+        def report():
+            writer.send((os.getpid(), _pids_per_n(monkeypatch, cfg)))
+
+        child = multiprocessing.get_context("fork").Process(target=report, daemon=True)
+        child.start()
+        assert reader.poll(60.0), "the daemonic study sent nothing"
+        pid, seen = reader.recv()
+        child.join(10.0)
+        assert not child.is_alive()
+    else:
+        pid, seen = os.getpid(), _pids_per_n(monkeypatch, cfg)
+    if case == "forked":  # the control: N = 16 is this process's, 4 and 8 a child's
+        assert seen == {16: pid}
+    else:
+        assert seen == {n: pid for n in cfg.n_values}
 
 
 def test_theoretical_speedup_values():

@@ -31,7 +31,8 @@ def test_tracer_finds_every_patched_name():
 def test_tracer_counts_every_layer_of_a_per_block_run():
     # A traced problem's callbacks carry no stacked forms, so every block runs
     # through predictor_block or correction_block; each of their stage solves
-    # calls newton.solve once, and each correction stage the quadrature once.
+    # calls newton.solve once, and each Jacobi correction block the quadrature
+    # once, for all its stage rows.
     import hbpc.solver
     from hbpc.problems import make
 
@@ -48,6 +49,6 @@ def test_tracer_counts_every_layer_of_a_per_block_run():
                           "tableaux.quadrature", "newton.solve")}
     assert all(calls.values()), calls
     stages = cfg.q // 2 - 1
-    assert calls["tableaux.quadrature"] == stages * calls["solver.correction_block"]
+    assert calls["tableaux.quadrature"] == calls["solver.correction_block"]
     assert calls["newton.solve"] == stages * (calls["solver.predictor_block"]
                                               + calls["solver.correction_block"])

@@ -192,8 +192,9 @@ def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch,
     # pairs {0, 1, 2} and {3, 4} of five, as integrate_parallel splits them
     lanes = [lane for iterates in (range(6), range(6, 10))
              for lane in run_blocks(p, cfg, seed, iterates, receive)]
-    # a process skips only where iterate k-2 is its own, so less than serially
-    assert serial < sum(computed_corrections) < cfg.kmax * cfg.n_steps
+    # received inputs are new objects with the sender's bits, which the skip
+    # compares, so the processes skip as often as the serial run
+    assert sum(computed_corrections) == serial < cfg.kmax * cfg.n_steps
     ser = integrate(p, cfg)
     assert run_result(p, cfg, lanes, None, 0.0).updates.tobytes() == ser.updates.tobytes()
     par = integrate_parallel(p, cfg)

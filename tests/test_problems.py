@@ -40,6 +40,29 @@ def test_scalar_pow_split_fractions():
     assert p.phi_i(w) == pytest.approx(0.7 * full, rel=1e-14)
 
 
+def test_scalar_pow_shares_one_power_per_state():
+    p = scalar_pow(alpha=0.3)
+    a, b = np.array([0.8]), np.array([0.6])
+    W = np.array([[0.8], [0.6]])
+    for w in (a, b, a, W, b, W):  # phi_e and phi_i of one state, interleaved
+        full = -w ** -2.5
+        assert p.phi_e(w).tobytes() == (0.3 * full).tobytes()
+        assert p.phi_i(w).tobytes() == (0.7 * full).tobytes()
+        assert p.phi_i.stack(w).tobytes() == (0.7 * full).tobytes()
+
+    class Counted(np.ndarray):
+        powers = 0
+
+        def __pow__(self, e):
+            Counted.powers += 1
+            return np.asarray(self) ** e
+
+    w = np.array([0.7]).view(Counted)
+    p.phi_e(w)
+    p.phi_i(w)
+    assert Counted.powers == 1
+
+
 @pytest.mark.parametrize("p", _problems(), ids=lambda p: p.name)
 def test_analytic_jacobians_match_finite_differences(p):
     w = _STATES[p.name]

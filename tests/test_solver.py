@@ -522,14 +522,15 @@ def test_every_block_bundle_is_eval_bundle_of_its_state(name, variant, start):
     assert len(seen) == cfg.n_steps * (cfg.kmax + 1)
 
 
-def test_reads_same_asks_for_the_very_same_state_objects():
+def test_reads_same_compares_the_state_bits():
     from hbpc.solver import _reads_same
 
     red, blue = np.ones(1), [np.ones(1), np.zeros(1)]
     read = (red, blue, None)
     assert _reads_same(red, list(blue), read)
-    assert not _reads_same(red.copy(), blue, read)
-    assert not _reads_same(red, [blue[0], blue[1].copy()], read)
+    assert _reads_same(red.copy(), [b.copy() for b in blue], read)
+    assert not _reads_same(np.nextafter(red, 2.0), blue, read)
+    assert not _reads_same(red, [blue[0], -blue[1]], read)  # -0.0: equal, not the bits
 
 
 def _skip_cases():
@@ -583,3 +584,15 @@ def test_fixed_point_skip_fires(monkeypatch, computed_corrections):
     monkeypatch.setattr(solver_mod, "_reads_same", lambda *args: False)
     integrate(p, cfg)
     assert sum(computed_corrections) == cfg.kmax * cfg.n_steps
+
+
+def test_fixed_point_skip_fires_from_red_starts(monkeypatch, computed_corrections):
+    # a red-start solve returns a new object even where its bits equal the blue
+    # stage's, so only a comparison of bits finds the fixed point
+    import hbpc.solver as solver_mod
+
+    p, cfg = _skip_cases()["scalar_pow-Alg1-red"]
+    skipped = integrate(p, cfg, keep_traces=True)
+    assert cfg.kmax * cfg.n_steps - sum(computed_corrections) >= 31
+    monkeypatch.setattr(solver_mod, "_reads_same", lambda *args: False)
+    _assert_runs_bitwise_equal(skipped, integrate(p, cfg, keep_traces=True))

@@ -77,20 +77,30 @@ def test_quadrature_rejects_bad_stage():
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize("q", [4, 6, 8])
 def test_quadrature_on_stacks_is_per_block_bitwise(q, d):
-    """A (B, s, d) stack gives row for row the (s, d) quadrature of each block."""
+    """A (B, s, d) stack gives row for row the (s, d) quadrature of each block,
+    and a list of stage rows each row's, for a stack or one block."""
     tab = builtin(q)
     rng = np.random.default_rng(q * 10 + d)
     B = 5
     phis = rng.standard_normal((B, tab.s, d)) * 10.0 ** rng.integers(-6, 6, (B, tab.s, d))
     dphis = rng.standard_normal((B, tab.s, d)) * 10.0 ** rng.integers(-6, 6, (B, tab.s, d))
+    rows = list(range(1, tab.s))
+    every = quadrature(tab, rows, 0.37, phis, dphis)  # all rows of all blocks
+    assert every.shape == (B, tab.s - 1, d)
     for l in range(tab.s):
         got = quadrature(tab, l, 0.37, phis, dphis)
         assert got.shape == (B, d)
         for b in range(B):
             one = quadrature(tab, l, 0.37, phis[b].copy(), dphis[b].copy())
             assert got[b].tobytes() == one.tobytes()
+            if l:
+                assert every[b, l - 1].tobytes() == one.tobytes()
+                block = quadrature(tab, rows, 0.37, phis[b].copy(), dphis[b].copy())
+                assert block[l - 1].tobytes() == one.tobytes()
     with pytest.raises(ValueError):
         quadrature(tab, tab.s, 0.37, phis, dphis)
+    with pytest.raises(ValueError):
+        quadrature(tab, [1, tab.s], 0.37, phis, dphis)
 
 
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10),
