@@ -1,12 +1,11 @@
 """Convergence, speedup, and limit studies with deterministic CSV output.
 
-A study sweeps the step count N over a fixed problem/method configuration
-and records per-iterate errors at t_end, wallclock, and Newton-iteration
-tallies grouped by pipeline worker; its independent N values run on the
-usable CPUs. With timing disabled (the default) the CSV artifact is
-byte-identical across reruns of the same configuration, on any CPU count;
-enabling timing (or running the speedup study, whose wallclock columns are
-the data) trades that away.
+A study sweeps the step count N over a fixed problem/method configuration,
+its N values on the usable CPUs, and records per-iterate errors at t_end,
+wallclock, and Newton-iteration tallies grouped by pipeline worker. With
+timing disabled (the default) the CSV artifact is byte-identical across
+reruns of the same configuration and CPU counts; enabling timing (or running
+the speedup study, whose wallclock columns are the data) trades that away.
 
 Reference solutions resolve in precedence order: explicit array on the
 config, the problem's closed-form solution, its recorded end state, then a
@@ -20,6 +19,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -215,11 +215,12 @@ def _study_row(p: SplitProblem, cfg: StudyConfig, n: int, reference: Array) -> C
 
 
 def _study_groups(cfg: StudyConfig) -> list:
-    """cfg.n_values in groups for a study's processes, the largest N first, each
-    to the group with the least total N; one group when the pipeline takes the
-    CPUs, the wallclock is data, or the caller is daemonic (has no children)."""
+    """cfg.n_values in groups, the largest N first to the least-loaded group (cost
+    N); one group if the pipeline takes the CPUs, the wallclock is data, or the
+    caller runs other threads (a fork copies their locks) or is daemonic."""
     mp = sys.modules.get("multiprocessing")
-    if cfg.parallel or cfg.timing or mp and mp.current_process().daemon:
+    if (cfg.parallel or cfg.timing or threading.active_count() > 1
+            or mp and mp.current_process().daemon):
         return [cfg.n_values]
     groups = [[] for _ in range(min(len(cfg.n_values), _pipeline._usable_cpus()))]
     for n in sorted(cfg.n_values, reverse=True):
@@ -249,7 +250,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceTable:
                 return rows, (n, exc)
         return rows, None
 
-    done = _pipeline.fork_join(run_group, len(groups), "hbpc-study", local=True)
+    done = (_pipeline.fork_join(run_group, len(groups), "hbpc-study", local=True)
+            if len(groups) > 1 else [run_group(0)])
     stop, exc = min((f for _, f in done if f), key=lambda f: f[0], default=(math.inf, None))
     table = ConvergenceTable(tuple(sorted((r for rows, _ in done for r in rows if r.n < stop),
                                           key=lambda r: r.n)), p.t_end)

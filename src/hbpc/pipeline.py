@@ -201,21 +201,18 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
     return inbox.pop((b.n, b.k))
 
 
-def fork_join(job, count: int, name: str, local: bool = False) -> list:
+def fork_join(job, count: int, name: str, local: bool = False, close=()) -> list:
     """[job(0), ..., job(count - 1)]: job(0) here if ``local``, every other in a
-    forked child f"{name}-{c}" (a spawned child could not be sent the closures
-    of a problem, so call it while no other thread runs); one local job forks
-    nothing. A child's exception is re-raised here with its type, message,
-    attributes and notes, one that exits without a result raises RuntimeError
-    naming it, and every child is terminated and joined before this returns."""
-    if local and count == 1:
-        return [job(0)]
+    forked child f"{name}-{c}" (a spawned one could not be sent a problem's
+    closures, so call it while no other thread runs). A child's exception is
+    re-raised here with its type, message, attributes and notes; one that exits
+    without a result raises RuntimeError naming it. Every child is terminated
+    and joined, and the pipe pairs in ``close`` closed, before this returns."""
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    kids = range(int(local), count)
-    results = {c: ctx.Pipe(duplex=False) for c in kids}
+    results = {c: ctx.Pipe(duplex=False) for c in range(int(local), count)}
 
     def run(c: int):
         try:
@@ -224,7 +221,7 @@ def fork_join(job, count: int, name: str, local: bool = False) -> list:
             results[c][1].send(exc)
 
     children = {c: ctx.Process(target=run, args=(c,), name=f"{name}-{c}", daemon=True)
-                for c in kids}
+                for c in results}
     got = {}
     try:
         for child in children.values():
@@ -232,7 +229,7 @@ def fork_join(job, count: int, name: str, local: bool = False) -> list:
         if local:
             got[0] = job(0)
         while len(got) < count:
-            pending = [c for c in kids if c not in got]
+            pending = [c for c in children if c not in got]
             wait([results[c][0] for c in pending] + [children[c].sentinel for c in pending])
             for c in pending:
                 exited = not children[c].is_alive()  # then it has sent all it will
@@ -245,11 +242,11 @@ def fork_join(job, count: int, name: str, local: bool = False) -> list:
                                        f"exited with code {children[c].exitcode} without a result")
     finally:
         for child in children.values():
-            if child.is_alive():
-                child.terminate()
             if child.pid is not None:  # a failed fork leaves the rest unstarted
+                child.terminate()  # a no-op on one that has exited
                 child.join()
-        for conn in [c for pair in results.values() for c in pair]:
+            child.close()  # its sentinel, else held open by a traceback
+        for conn in [c for pair in [*results.values(), *close] for c in pair]:
             conn.close()
     return [got[c] for c in range(count)]
 
@@ -323,11 +320,7 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
         return run_blocks(p, cfg, seed, iterates, receive, send), log
 
     t0 = time.perf_counter()
-    try:
-        got = fork_join(work, C, "hbpc-pipeline")
-    finally:
-        for conn in [c for pair in pipes.values() for c in pair]:
-            conn.close()
+    got = fork_join(work, C, "hbpc-pipeline", close=pipes.values())
     wallclock = time.perf_counter() - t0
 
     if channel_log is not None:

@@ -54,13 +54,13 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
         raise ValueError("alpha must lie in [0, 1]")
     beta = 1.0 - alpha
 
-    memo = (None, None)  # (w, its power), one tuple: phi_e and phi_i share it
+    memo = (None, None)  # (w, its power) for phi_e and phi_i, keyed by identity
 
     def full(w):
         nonlocal memo
-        if memo[0] is not w:  # by identity: no state is updated in place
-            memo = (w, -w ** -2.5)  # a (B, 1) stack gets each row's own bits
-        return memo[1]
+        if (m := memo)[0] is not w:  # read once, so a thread sees a matching pair
+            m = memo = (w, -w ** -2.5)  # a (B, 1) stack gets each row's own bits
+        return m[1]
 
     def phi_e(w):
         return alpha * full(w)

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import threading
 import time
 
 import numpy as np
@@ -380,7 +381,8 @@ def _pids_per_n(monkeypatch, cfg):
     return seen
 
 
-@pytest.mark.parametrize("case", ["one N", "timing", "parallel", "daemonic", "forked"])
+@pytest.mark.parametrize("case", ["one N", "timing", "parallel", "daemonic", "threads",
+                                  "forked"])
 def test_which_studies_run_every_n_in_the_calling_process(monkeypatch, case):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     cfg = StudyConfig(**{"problem": "scalar_pow", "n_values": (4, 8, 16),
@@ -398,6 +400,15 @@ def test_which_studies_run_every_n_in_the_calling_process(monkeypatch, case):
         pid, seen = reader.recv()
         child.join(10.0)
         assert not child.is_alive()
+    elif case == "threads":  # a fork would copy the locks this thread holds
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60.0,))
+        other.start()
+        try:
+            pid, seen = os.getpid(), _pids_per_n(monkeypatch, cfg)
+        finally:
+            release.set()
+            other.join()
     else:
         pid, seen = os.getpid(), _pids_per_n(monkeypatch, cfg)
     if case == "forked":  # the control: N = 16 is this process's, 4 and 8 a child's

@@ -408,3 +408,13 @@ def test_failed_fork_raises_its_own_error(monkeypatch):
         integrate_parallel(scalar_pow(), SolverConfig(variant="Alg1", q=4, kmax=3,
                                                       n_steps=8))
     assert multiprocessing.active_children() == []
+
+
+def test_integrate_parallel_closes_its_pipes(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    cfg = SolverConfig(variant="Alg1", q=4, kmax=3, n_steps=8)
+    before = len(os.listdir("/proc/self/fd"))
+    integrate_parallel(scalar_pow(), cfg)
+    with pytest.raises(NonFiniteError):
+        integrate_parallel(_fails_below(_raise_with_note), cfg, channel_timeout=10.0)
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -170,10 +170,25 @@ def test_arenstorf_dphi_i_jac_reuses_jac_i_bitwise():
     assert p.dphi_i_jac(w2).tobytes() == fresh(w2)
 
 
-def test_arenstorf_gravity_memo_under_thread_switching():
+def _on_switching_threads(run, count: int = 4):
+    """run(0), ..., run(count - 1) on threads that switch every microsecond."""
     import sys
     import threading
 
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_arenstorf_gravity_memo_under_thread_switching():
     p = arenstorf()
     states = [np.array([0.4 + 0.1 * i, 0.3, -0.2, 0.1 * i]) for i in range(4)]
     refs = [arenstorf().dphi_i_jac(w).tobytes() for w in states]
@@ -185,17 +200,35 @@ def test_arenstorf_gravity_memo_under_thread_switching():
             if p.dphi_i_jac(states[i]).tobytes() != refs[i]:
                 bad.append(i)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    _on_switching_threads(run)
+    assert bad == []
+
+
+def test_scalar_pow_power_memo_under_thread_switching():
+    import threading
+    import time
+
+    p = scalar_pow(alpha=0.3)
+    states = [np.array([0.5 + 0.1 * i]) for i in range(4)]
+    refs = [(0.3 * -w ** -2.5).tobytes() for w in states]
+    bad = []
+
+    def run(i):
+        for _ in range(300):
+            if p.phi_e(states[i]).tobytes() != refs[i]:
+                bad.append(i)
+
+    def yield_each_line(frame, event, arg):  # a switch between any two lines of the memo
+        if event == "line":
+            time.sleep(0)
+        return yield_each_line
+
+    threading.settrace(lambda frame, event, arg:
+                       yield_each_line if frame.f_code.co_name == "full" else None)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        _on_switching_threads(run)
     finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+        threading.settrace(None)
     assert bad == []
 
 
