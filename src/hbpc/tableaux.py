@@ -78,7 +78,7 @@ def quadrature(tab: TwoDerivativeTableau, l, dt: float, phis, dphis) -> Array:
     bitwise that stage's alone. Exact for polynomial integrands up to degree
     q - 1 over [0, c_l * dt].
     """
-    if not all(0 <= i < tab.s for i in (l if isinstance(l, list) else [l])):
+    if not (all(0 <= i < tab.s for i in l) if isinstance(l, list) else 0 <= l < tab.s):
         raise ValueError(f"stage index {l} outside 0..{tab.s - 1}")
     phis = np.asarray(phis, dtype=float)
     dphis = np.asarray(dphis, dtype=float)
