@@ -117,9 +117,10 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
     Raises SingularJacobianError on a degenerate linearization and
     NonFiniteError if the residual or the Jacobian holds NaN/Inf.
 
-    A residual's entries are checked only when its 2-norm is not finite: a
-    finite norm implies finite entries, and a finite residual whose norm
-    overflows to inf still passes, exactly as an entry-wise check decides.
+    A residual's entries are checked only when its 2-norm is not finite, the
+    Newton matrix's only when its sum is not: a finite norm or sum implies
+    finite entries, and finite entries whose norm or sum overflows to inf
+    still pass, exactly as an entry-wise check decides.
     """
     w = np.asarray(w0, dtype=float)
     r = np.asarray(F(w), dtype=float)
@@ -130,9 +131,10 @@ def solve(F, J, w0: Array, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
     theta, why = judge(cfg, history)
     while why is None:
         Jw = np.asarray(J(w), dtype=float)
-        if not np.isfinite(Jw).all():
+        if not math.isfinite(Jw.sum()) and not np.isfinite(Jw).all():
             raise NonFiniteError("non-finite Jacobian in Newton iteration")
-        w = w + theta * _lu_solve_checked(Jw, -r)
+        delta = _lu_solve_checked(Jw, -r)
+        w = w + (delta if theta == 1.0 else theta * delta)
         r = np.asarray(F(w), dtype=float)
         rnorm = _norm(r)
         if not math.isfinite(rnorm) and not np.isfinite(r).all():

@@ -71,6 +71,9 @@ class WorkerAssignment:
     kmax: int
 
     def __post_init__(self):
+        if self.variant not in ("Alg1", "Alg2", "LO", "serial"):
+            raise ValueError(f"variant {self.variant!r} has no pipeline "
+                             "(use one of Alg1, Alg2, LO, serial)")
         if self.variant in ("Alg1", "Alg2") and self.kmax % 2 == 0:
             raise ValueError(
                 f"the paired-iterate pipeline needs odd kmax, got {self.kmax}")

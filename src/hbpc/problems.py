@@ -268,8 +268,10 @@ def arenstorf() -> SplitProblem:
     arithmetic, and build each result with one ``np.array`` call. The
     expressions are the ones numpy float64 scalars would evaluate, in the same
     order, so the results are bitwise those: both call libm ``pow`` for
-    ``**``. What must stay numpy is kept numpy: the two 2 x 2 products
-    dA/dx @ (x', y') and dA/dy @ (x', y') (their summation is BLAS's), and the
+    ``**``. What must stay numpy is kept numpy: dA/dx @ (x', y') and
+    dA/dy @ (x', y'), formed as one (4, 2) product whose rows keep the bits
+    of the two 2 x 2 products (the summation is BLAS's, with fused
+    multiply-adds, which Python float sums do not reproduce), and the
     fallback to float64 scalars where Python raises instead of returning
     inf/NaN (``_at_position``). The stacked forms keep that float math per row.
     """
@@ -301,10 +303,8 @@ def arenstorf() -> SplitProblem:
         A = _at_position(_accel_jac, w)
         accel_memo = (w, A)
         a, b, c = A
-        return np.array([[0.0, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0, 0.0],
-                         [a, b, 0.0, 0.0],
-                         [b, c, 0.0, 0.0]])
+        return np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                         a, b, 0.0, 0.0, b, c, 0.0, 0.0]).reshape(4, 4)
 
     def dphi_i_jac(w):
         # rows 3,4 of Phi_I' Phi equal A @ (w3, w4); differentiate in all four
@@ -314,13 +314,11 @@ def arenstorf() -> SplitProblem:
             A = _at_position(_accel_jac, w)
         a, b, c = A
         e1, e2, e3, e4 = _at_position(_accel_jac_derivs, w)
-        v = w[2:]
-        gx = (np.array([[e1, e2], [e2, e3]]) @ v).tolist()
-        gy = (np.array([[e2, e3], [e3, e4]]) @ v).tolist()
-        return np.array([[0.0, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0, 0.0],
-                         [gx[0], gy[0], a, b],
-                         [gx[1], gy[1], b, c]])
+        # rows 0, 1: dA/dx @ (x', y'); rows 2, 3: dA/dy @ (x', y')
+        gx0, gx1, gy0, gy1 = (np.array([e1, e2, e2, e3, e2, e3, e3, e4]).reshape(4, 2)
+                              @ w[2:]).tolist()
+        return np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                         gx0, gy0, a, b, gx1, gy1, b, c]).reshape(4, 4)
 
     def jac_i_stack(W):
         out = np.zeros((len(W), 4, 4))

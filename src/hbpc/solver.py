@@ -155,13 +155,15 @@ def _eye(dim: int) -> Array:
 
 
 def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
-                 ncfg: NewtonConfig):
+                 ncfg: NewtonConfig, at_start: list | None = None):
     """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs from ``start``; return
     (w, bundle, result).
 
     Newton starts at ``start.w`` and its first residual reads Phi_I and dPhi_I
-    from ``start.f``, so the start state costs no callback; Phi_I' there is
-    evaluated only if Newton takes an iteration, and a solve that converges
+    from ``start.f``, so the start state costs no callback; Phi_I' and
+    d(dPhi_I)/dw there are evaluated only if Newton takes an iteration, and
+    once per block for stages that start at one state (the block's solves
+    share ``at_start``, [(state, Phi_I', d(dPhi_I)/dw)]); a solve that converges
     at its start returns ``start.w`` and ``start.f`` themselves. Every other
     Newton state is evaluated once: the residual calls Phi_E, Phi_I and Phi_I'
     one time each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as the
@@ -169,7 +171,7 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     only at the state the residual saw last), and the converged bundle is the
     last evaluation plus dPhi_E = Phi_E' Phi, bitwise what ``eval_bundle``
     gives at the solved state. The evaluation lives in this call, so
-    concurrent solves share nothing. The residual Jacobian is assembled
+    concurrent blocks share nothing. The residual Jacobian is assembled
     analytically when the problem carries d(dPhi_I)/dw, otherwise by finite
     differences of the residual map. Callers run it under
     ``np.errstate(all="ignore")``, once per block: overflow shows up as the
@@ -193,10 +195,16 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
 
     if p.dphi_i_jac is not None:
         eye = _eye(p.dim)
+        at_start = [(None,)] if at_start is None else at_start
 
         def J(w):
-            ji = last[4] if last[0] is w else p.jac_i(w)
-            return eye - a * ji + half_a2 * p.dphi_i_jac(w)
+            if w is not start.w:
+                ji = last[4] if last[0] is w else p.jac_i(w)
+                return eye - a * ji + half_a2 * p.dphi_i_jac(w)
+            if at_start[0][0] is not w:
+                at_start[0] = w, p.jac_i(w), p.dphi_i_jac(w)
+            _, ji, dji = at_start[0]
+            return eye - a * ji + half_a2 * dji
     else:
         def J(w):
             return fd_jacobian(F, w)
@@ -208,9 +216,10 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
         F(res.w)
     w, fe, fi, ftot, _, di = last
     de = p.jac_e(w) @ ftot
-    if not all_finite(fe, fi, de, di):
+    dphi = de + di
+    if not math.isfinite((ftot + dphi).sum()) and not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
-    return w, FluxBundle(fe, fi, de, di, ftot), res
+    return w, FluxBundle(fe, fi, de, di, ftot, dphi), res
 
 
 def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
@@ -345,7 +354,8 @@ def _jacobi_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks
         if stacked:
             solved = _solve_stages(p, np.array(a), rhs, starts, ncfg)
         else:
-            solved = [_solve_stage(p, a_i, rhs_i, StageSource(*s), ncfg)
+            at_start = [(None,)]
+            solved = [_solve_stage(p, a_i, rhs_i, StageSource(*s), ncfg, at_start)
                       for a_i, rhs_i, s in zip(a, rhs, starts)]
     outs = []
     for b, (src, _) in enumerate(blocks):
@@ -381,12 +391,14 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
     phis = np.array([red.f.phi, *(f.phi for f in blue_f[1:])])
     dphis = np.array([red.f.dphi, *(f.dphi for f in blue_f[1:])])
     ws, fs, results = [red.w], [red.f], [_copy_result(red.w)]
+    at_start = [(None,)]
     with np.errstate(all="ignore"):
+        base = (red.w - dt * np.array([f.phi_i for f in blue_f[1:]])
+                + 0.5 * dt * dt * np.array([f.dphi_i for f in blue_f[1:]]))
         for l in range(1, tab.s):
-            i_l = quadrature(tab, l, dt, phis, dphis)
-            rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
+            rhs = base[l - 1] + quadrature(tab, l, dt, phis, dphis)
             src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
-            w, f, res = _solve_stage(p, dt, rhs, src, ncfg)
+            w, f, res = _solve_stage(p, dt, rhs, src, ncfg, at_start)
             phis[l], dphis[l] = f.phi, f.dphi
             ws.append(w)
             fs.append(f)

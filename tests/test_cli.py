@@ -26,6 +26,14 @@ def test_schedule_mode(capsys):
     assert lines[2] == "Alg2,5,20,44,120"
 
 
+def test_schedule_mode_rejects_a_variant_without_a_pipeline(capsys):
+    rc = main(["--simulate-schedule", "--variant", "limit", "--nsteps", "10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: variant 'Limit' has no pipeline" in captured.err
+
+
 def test_convergence_study_to_file(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     rc = main(["--problem", "scalar_pow", "--q", "4", "--kmax", "3",

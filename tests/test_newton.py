@@ -197,6 +197,30 @@ def test_finite_residual_with_overflowing_norm_does_not_raise():
     assert res.w.tolist() == [1e200, -1.5e200]
 
 
+_JAC_MSG = "non-finite Jacobian in Newton iteration"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_newton_matrix_with_one_nonfinite_entry_raises(bad):
+    # The entry-wise check runs only behind a non-finite sum of the matrix;
+    # one bad entry among finite ones makes that sum non-finite.
+    F, _ = _linear(np.eye(3), [1.0, 2.0, 3.0])
+    J = lambda w: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, bad], [0.0, 0.0, 1.0]])
+    with pytest.raises(NonFiniteError, match=f"^{_JAC_MSG}$"):
+        solve(F, J, np.zeros(3))
+
+
+def test_newton_matrix_whose_sum_overflows_passes():
+    # Each entry is finite, their sum overflows to inf: the verdict is the
+    # entry-wise check's, so the iteration runs.
+    F, J = _linear(np.diag([1.7e308] * 3), [1.7e308, 1.7e308, 1.7e308])
+    with np.errstate(over="ignore"):
+        assert J(None).sum() == np.inf
+        res = solve(F, J, np.zeros(3))
+    assert res.iters == 1 and res.converged_by == "absolute"
+    assert res.w.tolist() == [1.0, 1.0, 1.0]
+
+
 def _pivot_floor_verdict(J):
     """Today's pivot test on the LU of J: abs(diag).min() < 1e-300, where
     np.min propagates NaN, so a NaN pivot never trips it."""

@@ -131,6 +131,15 @@ def test_schedule_dependency_that_does_not_precede_raises(monkeypatch, late):
             simulate_schedule(variant, 3, 4)
 
 
+@pytest.mark.parametrize("variant", ["Limit", "bogus", "alg1"])
+def test_variants_without_a_pipeline_are_rejected(variant):
+    allowed = r"\(use one of Alg1, Alg2, LO, serial\)"
+    with pytest.raises(ValueError, match=f"^variant {variant!r} has no pipeline {allowed}$"):
+        WorkerAssignment(variant=variant, kmax=3)
+    with pytest.raises(ValueError, match="has no pipeline"):
+        simulate_schedule(variant, 3, 10)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         simulate_schedule("Alg1", 0, 5)

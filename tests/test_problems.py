@@ -322,6 +322,32 @@ def test_arenstorf_callbacks_equal_numpy_scalar_formulas_bitwise(coords, other):
         assert p.dphi_i_jac(w).tobytes() == ref["dphi_i_jac"](w).tobytes()
 
 
+# positions within 1e-3 of either body, where dA/dx and dA/dy reach 1e20 and
+# beyond, and anywhere near the orbit
+_POSITION = st.one_of(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.sampled_from([-0.012277471, 0.987722529]).flatmap(lambda x: st.tuples(
+        st.floats(x - 1e-3, x + 1e-3), st.floats(-1e-3, 1e-3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSITION, st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_arenstorf_one_4x2_product_equals_two_2x2_products_bitwise(position, velocity):
+    # dphi_i_jac forms dA/dx @ (x', y') and dA/dy @ (x', y') as one (4, 2)
+    # product; each row keeps the bits of its (2, 2) product (BLAS fuses
+    # multiply-adds, so a Python sum would not)
+    from hbpc import problems
+
+    w = np.array([*position, *velocity])
+    with np.errstate(all="ignore"):
+        e1, e2, e3, e4 = problems._at_position(problems._accel_jac_derivs, w)
+        gx = np.array([[e1, e2], [e2, e3]]) @ w[2:]
+        gy = np.array([[e2, e3], [e3, e4]]) @ w[2:]
+        M = arenstorf().dphi_i_jac(w)
+    assert M[2:, 0].tobytes() == gx.tobytes()
+    assert M[2:, 1].tobytes() == gy.tobytes()
+
+
 @pytest.mark.parametrize("w", [
     [0.987722529, 0.0, 0.3, -0.2],    # on the second body: r = 0
     [-0.012277471, 0.0, 0.3, -0.2],   # on the first body

@@ -409,6 +409,106 @@ def test_stage_solve_flags_nonfinite_at_the_solved_state(bad):
         _solve_stage(p, 0.1, np.ones(1), start, NewtonConfig())
 
 
+def _linear_with(dim, jac_i, dphi_i_jac=None, phi_e=None, jac_e=None):
+    """Phi_I(w) = jac_i w; Phi_E, Phi_E' and d(dPhi_I)/dw as given (zero by
+    default), the last taken as given, not derived."""
+    ji = np.array(jac_i, dtype=float)
+    zero = np.zeros((dim, dim))
+    dij = zero if dphi_i_jac is None else np.array(dphi_i_jac, dtype=float)
+    je = zero if jac_e is None else np.array(jac_e, dtype=float)
+    return SplitProblem(dim=dim, phi_e=phi_e or (lambda w: np.zeros(dim)),
+                        phi_i=lambda w: ji @ w, w0=np.ones(dim), t_end=1.0,
+                        jac_e=lambda w: je, jac_i=lambda w: ji,
+                        dphi_i_jac=lambda w: dij)
+
+
+def _off_start(p, a, offset):
+    """(a, rhs, start) of a stage solve from w0 whose residual there is ``offset``."""
+    start = _start(p, p.w0.copy())
+    return a, start.w - a * start.f.phi_i + 0.5 * a * a * start.f.dphi_i - offset, start
+
+
+def test_stage_solve_newton_matrix_whose_sum_overflows_passes():
+    # J = 2 I + 0.85e308 I: finite entries whose sum overflows to inf
+    from hbpc.solver import _solve_stage
+
+    p = _linear_with(3, -np.eye(3), dphi_i_jac=np.diag([1.7e308] * 3))
+    a, rhs, start = _off_start(p, 1.0, 1e-3)
+    with np.errstate(all="ignore"):
+        w, f, res = _solve_stage(p, a, rhs, start, NewtonConfig(max_iter=2))
+    assert res.iters == 2 and res.converged_by == "iter_cap"
+    assert np.isfinite(w).all() and np.isfinite(f.dphi).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_stage_solve_newton_matrix_with_one_nonfinite_entry_raises(bad):
+    from hbpc.core import NonFiniteError
+    from hbpc.solver import _solve_stage
+
+    p = _linear_with(2, -np.eye(2), dphi_i_jac=[[0.0, 0.0], [bad, 0.0]])
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError, match="^non-finite Jacobian in Newton iteration$"):
+        _solve_stage(p, *_off_start(p, 0.1, 1e-3), NewtonConfig())
+
+
+def test_stage_solve_bundle_whose_sum_overflows_passes():
+    # phi = 1e308 and dphi = 1e308 at the solved state: finite parts whose
+    # sum overflows to inf
+    from hbpc.solver import _solve_stage
+
+    p = _linear_with(1, [[1.0]], phi_e=lambda w: np.array([1e308]))
+    with np.errstate(all="ignore"):
+        w, f, res = _solve_stage(p, *_off_start(p, 1e-154, 1e-3), NewtonConfig())
+        assert (f.phi + f.dphi).sum() == np.inf
+    assert res.iters >= 1
+    assert np.isfinite([f.phi_e, f.phi_i, f.dphi_e, f.dphi_i]).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_stage_solve_bundle_with_one_nonfinite_part_raises(bad):
+    # only the converged bundle evaluates Phi_E'; the start bundle comes from
+    # the unbroken problem
+    from hbpc.core import NonFiniteError
+    from hbpc.solver import _solve_stage
+
+    p = _linear_with(1, [[1.0]])
+    a, rhs, start = _off_start(p, 0.1, 1e-3)
+    p = replace(p, jac_e=lambda w: np.full((1, 1), bad))
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError, match=r"^flux evaluation produced NaN/Inf at w=array\("):
+        _solve_stage(p, a, rhs, start, NewtonConfig())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_stages_from_one_start_state_linearize_there_once(name):
+    # A predictor's stages all start at its source: Phi_I' and d(dPhi_I)/dw
+    # there are evaluated once per block, and every stage keeps the bits of
+    # a solve of its own.
+    from hbpc.solver import _solve_stage, predictor_block
+
+    p = make(name)
+    src = _start(p, p.w0.copy())
+    at_src = []
+
+    def spy(cb):
+        fn = getattr(p, cb)
+        return lambda w: (w is src.w and at_src.append(cb)) or fn(w)
+
+    tab, dt, ncfg = builtin(8), p.t_end / 50, NewtonConfig()
+    spied = replace(p, jac_i=spy("jac_i"), dphi_i_jac=spy("dphi_i_jac"))
+    ws, fs, results = predictor_block(spied, tab, dt, src, ncfg)
+    assert all(r.iters >= 1 for r in results[1:])
+    assert sorted(at_src) == ["dphi_i_jac", "jac_i"]
+    c = tab.c[1:] * dt
+    rhs = src.w + c[:, None] * src.f.phi_e + (0.5 * c * c)[:, None] * src.f.dphi_e
+    for l in range(1, tab.s):
+        with np.errstate(all="ignore"):
+            w, f, res = _solve_stage(p, c[l - 1], rhs[l - 1], src, ncfg)
+        assert ws[l].tobytes() == w.tobytes()
+        assert fs[l].dphi.tobytes() == f.dphi.tobytes()
+        assert results[l].residual_history == res.residual_history
+
+
 def _sweep_restacking_per_stage(p, tab, dt, red, blue_w, blue_f, gauss_seidel,
                                 start):
     """A correction sweep that stacks the quadrature's fluxes afresh for
