@@ -2,18 +2,18 @@
 """What a co-running process costs a fixed compute: one pipeline process's
 blocks, replayed on a pinned CPU beside partners that sleep, spin or compute.
 
-The replay is the work of ``integrate_parallel``'s process 0 on the
-``pipeline`` benchmark's config (Pareschi-Russo eps=1, Alg1 q=8 kmax=3,
-N=240): ``run_blocks`` over iterates {0, 1}, with the blocks it would receive
-(iterate 2 of the step before) taken from a serial run recorded beforehand,
-so it computes what that process computes and waits on nothing. This process
-pins itself to one usable CPU with ``sched_setaffinity``; a forked partner,
-pinned to another, meanwhile
+The replay is the work of ``integrate_parallel``'s process 1 on two CPUs on
+the ``pipeline`` benchmark's config (Pareschi-Russo eps=1, Alg1 q=8 kmax=3,
+N=240): ``run_blocks`` over the iterates ``pipeline._placement`` gives it
+({1, 2, 3}), with the blocks it would receive (the predictor's, iterate 0)
+taken from a serial run recorded beforehand, so it computes what that process
+computes and waits on nothing. This process pins itself to one usable CPU
+with ``sched_setaffinity``; a forked partner, pinned to another, meanwhile
 
 - sleeps, blocked on a pipe read (an idle CPU beside the replay);
 - spins on ``poll(0)`` over that pipe, as a pipeline process does for up to
   5 ms before it blocks on a receive;
-- computes: replays the other process's blocks (iterates {2, 3}) in a loop.
+- computes: replays process 0's blocks (the predictor chain) in a loop.
 
 The partners run in interleaved sets, so a drift in the host's load reaches
 all three alike. Each cell is the median of ``--reps`` replays in ms; the
@@ -40,8 +40,10 @@ PARTNERS = ("sleeping", "spinning", "computing")
 
 
 def recorded_inputs():
-    """(problem, config, seed, {(n, k): (states, bundles)}) of a serial run."""
+    """(problem, config, seed, {(n, k): (states, bundles)}) of a serial run,
+    and the iterates of each process on two CPUs."""
     from hbpc.core import eval_bundle
+    from hbpc.pipeline import _placement
     from hbpc.problems import make
     from hbpc.solver import SolverConfig, StageSource, run_blocks
 
@@ -51,7 +53,9 @@ def recorded_inputs():
     blocks = {}
     run_blocks(p, cfg, seed, range(cfg.kmax + 1),
                send=lambda b, ws, fs: blocks.__setitem__((b.n, b.k), (ws, fs)))
-    return p, cfg, seed, blocks
+    proc = _placement(cfg.variant, cfg.kmax, 2)
+    groups = [[k for k in range(cfg.kmax + 1) if proc[k] == c] for c in (0, 1)]
+    return (p, cfg, seed, blocks), groups
 
 
 def replay(inputs, iterates) -> float:
@@ -65,8 +69,9 @@ def replay(inputs, iterates) -> float:
     return time.perf_counter() - t0
 
 
-def partner(kind: str, cpu: int, inputs, stop, ready) -> None:
-    """Run as ``kind`` on ``cpu`` until ``stop`` becomes readable."""
+def partner(kind: str, cpu: int, inputs, iterates, stop, ready) -> None:
+    """Run as ``kind`` on ``cpu`` until ``stop`` becomes readable, computing
+    by replaying ``iterates``."""
     os.sched_setaffinity(0, {cpu})
     ready.send(None)
     if kind == "sleeping":
@@ -76,12 +81,12 @@ def partner(kind: str, cpu: int, inputs, stop, ready) -> None:
     poller.register(stop.fileno(), select.POLLIN)
     while not poller.poll(0):
         if kind == "computing":
-            replay(inputs, [2, 3])
+            replay(inputs, iterates)
 
 
-def measure(kind: str, cpu: int, inputs, reps: int) -> float:
-    """Median replay ms of iterates {0, 1} here while a forked ``kind``
-    partner runs on ``cpu``."""
+def measure(kind: str, cpu: int, inputs, groups, reps: int) -> float:
+    """Median replay ms of process 1's iterates here while a forked ``kind``
+    partner, process 0 if it computes, runs on ``cpu``."""
     from multiprocessing import Pipe
 
     from hbpc.pipeline import fork_join
@@ -90,11 +95,11 @@ def measure(kind: str, cpu: int, inputs, reps: int) -> float:
 
     def job(c: int):
         if c:
-            return partner(kind, cpu, inputs, stop[0], ready[1])
+            return partner(kind, cpu, inputs, groups[0], stop[0], ready[1])
         try:
             if not ready[0].poll(60.0):
                 raise RuntimeError(f"the {kind} partner did not start")
-            return [replay(inputs, [0, 1]) for _ in range(reps)]
+            return [replay(inputs, groups[1]) for _ in range(reps)]
         finally:
             stop[1].send(None)
 
@@ -115,12 +120,13 @@ def main() -> int:
         print("co_runner_cost: needs two usable CPUs", file=sys.stderr)
         return 2
     os.sched_setaffinity(0, {cpus[0]})
-    inputs = recorded_inputs()
-    replay(inputs, [0, 1])  # warm up
+    inputs, groups = recorded_inputs()
+    replay(inputs, groups[1])  # warm up
     print("set," + ",".join(f"{kind}_ms" for kind in PARTNERS))
     rows = []
     for s in range(args.sets):
-        rows.append([measure(kind, cpus[1], inputs, args.reps) for kind in PARTNERS])
+        rows.append([measure(kind, cpus[1], inputs, groups, args.reps)
+                     for kind in PARTNERS])
         print(f"{s}," + ",".join(f"{ms:.1f}" for ms in rows[-1]))
     costs = [f"{kind} {statistics.median(r[i] / r[0] - 1.0 for r in rows):+.0%}"
              for i, kind in enumerate(PARTNERS[1:], 1)]

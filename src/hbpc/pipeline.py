@@ -9,19 +9,24 @@ stage only, and not at all from the last step. For the high-order variants
 worker p owns iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``;
 the low-order variant runs one worker per iterate and only ships upward.
 
-The workers run in min(workers, usable CPUs) forked processes, each one
-``run_blocks`` over the iterates of a run of consecutive workers. A block read
-in another process crosses one pipe per ordered process pair as one flat
-float64 buffer, with all stages if a reader there needs them; the receiver
-computes on views of it, so on the sender's bits. A process waiting for a
-block polls its incoming pipes, one ``select.poll`` set built per process,
-without blocking for up to ``_SPIN_S`` before it sleeps, so it stays on its
-CPU through the gap in which a partner computes the block; once nothing has
-arrived for ``channel_timeout`` seconds it raises ``DeadlockError`` naming the
-logical channel. ``channel_log`` records the logical hand-offs per worker
-pair, crossing or not, so it does not depend on the CPU count. ``fork_join``,
-shared with the study harness, forks the processes and joins them: a
-process's exception reaches the caller with its type, message and notes.
+The workers run in at most min(workers, usable CPUs) forked processes, placed
+per iterate by ``_placement`` at boundaries that no block reads back across.
+For Alg1 and LO, the one after iterate 0 leaves process 0 the predictor chain,
+which only sends; any other Alg1 cut parts iterates k and k+1, which read each
+other (blue input one way, red term the other), so each step would pay a round
+trip. Alg2's predictor reads iterate 1, so it has no such boundary and each
+process takes an equal run of workers. A block read in another process crosses
+one pipe per ordered process pair as one flat float64 buffer, with all stages
+if a reader there needs them; the receiver computes on views of it, so on the
+sender's bits. A process waiting for a block polls its incoming pipes, one
+``select.poll`` set built per process, without blocking for up to ``_SPIN_S``
+before it sleeps, so it stays on its CPU through the gap in which a partner
+computes the block; once nothing has arrived for ``channel_timeout`` seconds
+it raises ``DeadlockError`` naming the block and its logical channel, if any.
+``channel_log`` records the logical hand-offs per worker pair, crossing or
+not, so it does not depend on the CPU count. ``fork_join``, shared with the
+study harness, forks the processes and joins them: a process's exception
+reaches the caller with its type, message and notes.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -151,6 +156,22 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _placement(variant: str, kmax: int, cpus: int) -> list:
+    """Each iterate's process. A boundary before iterate j is one-way if no
+    iterate below j reads one at or above j (``dependencies``); the first ends
+    process 0, and evenly picked others split the rest. With none, each of
+    min(workers, ``cpus``) processes takes an equal run of workers."""
+    asg = WorkerAssignment(variant=variant, kmax=kmax)
+    C = min(cpus, asg.n_workers)
+    top = [max(d.k for d in dependencies(Block(1, k), variant, kmax)) for k in range(kmax + 1)]
+    ways = [j for j in range(1, kmax + 1) if max(top[:j]) < j]
+    if C == 1 or not ways:
+        return [asg.owner(k) * C // asg.n_workers for k in range(kmax + 1)]
+    C = min(C, len(ways) + 1)
+    cuts = ways[:1] + [ways[1 + i * (len(ways) - 1) // (C - 1)] for i in range(1, C - 1)]
+    return [sum(k >= cut for cut in cuts) for k in range(kmax + 1)]
+
+
 def _pack(b: Block, ws, fs) -> bytes:
     """Block b's stages as one flat float64 buffer: (n, k), then per stage
     w, Phi_E, Phi_I, dPhi_E, dPhi_I, Phi, dPhi."""
@@ -179,10 +200,11 @@ def _poll_set(conns) -> tuple:
 
 
 def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
-             name: str, polled: tuple | None = None) -> BlockResult:
+             name: str | None, polled: tuple | None = None) -> BlockResult:
     """Block b's message, filing every message that arrives on ``conns``
-    meanwhile into ``inbox`` by (n, k); raise DeadlockError once nothing has
-    arrived for ``timeout`` seconds.
+    meanwhile into ``inbox`` by (n, k); raise DeadlockError, naming b and the
+    logical channel ``name`` if given, once nothing has arrived for
+    ``timeout`` seconds.
 
     Each wait polls ``polled`` (``_poll_set(conns)`` if not given) without
     blocking for up to ``_SPIN_S`` and only then blocks for the rest of
@@ -197,7 +219,8 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
         if not ready:
             ready = poll.poll(1e3 * max(0.0, timeout - (time.perf_counter() - start)))
         if not ready:
-            raise DeadlockError(f"receive on channel {name} starved for {timeout:g}s")
+            on = f" on channel {name}" if name else ""
+            raise DeadlockError(f"receive of Block({b.n}, {b.k}){on} starved for {timeout:g}s")
         for fd, _ in ready:
             msg = _unpack(by_fd[fd].recv_bytes(), dim)
             inbox[msg.n, msg.k] = msg
@@ -277,49 +300,48 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     if workers is not None and workers != P:
         raise ValueError(f"variant {cfg.variant} with kmax={cfg.kmax} "
                          f"requires exactly {P} workers, got {workers}")
-    C = min(P, _usable_cpus())
-    proc = [v * C // P for v in range(P)]  # worker -> its process
+    proc = _placement(cfg.variant, cfg.kmax, _usable_cpus())  # iterate -> its process
 
-    # readers[k][v]: worker v reads Block(n, k) from another worker, as its
-    # blue input (True: all stages) or as a step n+1 source (False: last stage)
+    # readers[k][j]: iterate j reads Block(n, k) from another iterate, as its
+    # blue input (True: all stages) or as a step n+1 source (False: last
+    # stage), over a logical channel unless both are one worker's
     readers = {k: {} for k in range(cfg.kmax + 1)}
-    names = {}  # (sender, reader) -> channel name
     for j in range(cfg.kmax + 1):
         v = asg.owner(j)
         for d in dependencies(Block(1, j), cfg.variant, cfg.kmax):
             w = asg.owner(d.k)
-            if w != v:
-                readers[d.k][v] = d.n == 1
-                names[w, v] = f"up{w}" if v > w else f"down{v}"
-
+            if d.k != j:
+                readers[d.k][j] = d.n == 1, None if w == v else f"up{w}" if v > w else f"down{v}"
+    names = sorted({name for k in readers for _, name in readers[k].values()} - {None})
     seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    C = proc[-1] + 1
     pipes = {(a, b): Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
 
     def work(c: int):
         ins = [r for (_, b), (r, _) in pipes.items() if b == c]
         polled = _poll_set(ins)
         inbox = {}
-        log = {name: [] for (w, _), name in names.items() if proc[w] == c}
+        log = {name: [] for name in names}
 
         def receive(b: Block):
-            v = next(v for v in readers[b.k] if proc[v] == c)
-            msg = _receive(ins, inbox, b, p.dim, channel_timeout,
-                           names[asg.owner(b.k), v], polled)
+            name = next(name for j, (_, name) in readers[b.k].items() if proc[j] == c)
+            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name, polled)
             return msg.stages_w or [msg.w_last], msg.stages_f or [msg.f_last]
 
         def send(b: Block, ws, fs):
             blue_to = {}  # process -> whether a reader there needs all stages
-            for v, blue in readers[b.k].items():
+            for j, (blue, name) in readers[b.k].items():
                 if not blue and b.n == cfg.n_steps - 1:
                     continue  # no step follows to read it
-                log[names[asg.owner(b.k), v]].append(b.n)
-                if proc[v] != c:
-                    blue_to[proc[v]] = blue_to.get(proc[v], False) or blue
+                if name:
+                    log[name].append(b.n)
+                if proc[j] != c:
+                    blue_to[proc[j]] = blue_to.get(proc[j], False) or blue
             for to, blue in blue_to.items():
                 pipes[c, to][1].send_bytes(_pack(b, ws, fs) if blue
                                            else _pack(b, ws[-1:], fs[-1:]))
 
-        iterates = [k for v in range(P) if proc[v] == c for k in asg.iterates(v)]
+        iterates = [k for k in range(cfg.kmax + 1) if proc[k] == c]
         return run_blocks(p, cfg, seed, iterates, receive, send), log
 
     t0 = time.perf_counter()
@@ -327,7 +349,6 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     wallclock = time.perf_counter() - t0
 
     if channel_log is not None:
-        for _, log in got:
-            channel_log.update(log)
+        channel_log.update({name: [n for _, log in got for n in log[name]] for name in names})
     return run_result(p, cfg, [lane for lanes, _ in got for lane in lanes], reference,
                       wallclock)

@@ -149,6 +149,29 @@ def test_schedule_validation():
         simulate_schedule("Alg1", 4, 5)  # even kmax has no pairing
 
 
+@pytest.mark.parametrize("variant", ["Alg1", "LO", "Alg2"])
+@pytest.mark.parametrize("kmax", [1, 3, 7, 9])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_placement(variant, kmax, cpus):
+    asg = WorkerAssignment(variant=variant, kmax=kmax)
+    C = min(cpus, asg.n_workers)
+    proc = pipeline._placement(variant, kmax, cpus)
+    assert len(proc) == kmax + 1
+    # contiguous and ascending runs of iterates, none of them empty
+    assert proc[0] == 0 and all(b - a in (0, 1) for a, b in zip(proc, proc[1:]))
+    if variant == "Alg2":  # no one-way boundary: equal runs of workers
+        assert proc == [asg.owner(k) * C // asg.n_workers for k in range(kmax + 1)]
+        return
+    # every hand-off flows up, so none sits on a cycle of two processes
+    for k in range(kmax + 1):
+        for d in dependencies(Block(1, k), variant, kmax):
+            assert proc[d.k] <= proc[k], (k, d)
+    if C > 1:  # the predictor alone in process 0
+        assert proc.count(0) == 1
+    # Alg1's only one-way boundary is after iterate 0; all of LO's are
+    assert proc[-1] + 1 == (min(C, 2) if variant == "Alg1" else C)
+
+
 @pytest.mark.parametrize("variant,kmax,start", [
     ("Alg1", 3, "hierarchical"), ("Alg2", 3, "hierarchical"),
     ("Alg1", 1, "hierarchical"), ("LO", 2, "hierarchical"),
@@ -179,8 +202,8 @@ def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch,
     # Once the sweeps sit at their fixed point, Block(n, k) reuses Block(n, k-1)
     # where both are a process's own and k-1 read its blue input in that
     # process too. A process counts in its own memory, so the run_blocks of
-    # each of the two processes runs here, fed the serial run's blocks through
-    # the pipeline's message format.
+    # each process integrate_parallel places on two CPUs runs here, fed the
+    # serial run's blocks through the pipeline's message format.
     from hbpc.newton import NewtonConfig
 
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
@@ -198,11 +221,14 @@ def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch,
         msg = _unpack(sent[b], p.dim)
         return msg.stages_w, msg.stages_f
 
-    # pairs {0, 1, 2} and {3, 4} of five, as integrate_parallel splits them
-    lanes = [lane for iterates in (range(6), range(6, 10))
-             for lane in run_blocks(p, cfg, seed, iterates, receive)]
-    # received inputs are new objects with the sender's bits, which the skip
-    # compares, so the processes skip as often as the serial run
+    proc = pipeline._placement(cfg.variant, cfg.kmax, 2)
+    groups = [[k for k in range(cfg.kmax + 1) if proc[k] == c] for c in range(proc[-1] + 1)]
+    assert len(groups) == 2
+    lanes = [lane for iterates in groups for lane in run_blocks(p, cfg, seed, iterates, receive)]
+    # the block after the process boundary follows the predictor, which no
+    # skip replaces, and received inputs are new objects with the sender's
+    # bits, which the skip compares, so the processes skip as often as the
+    # serial run
     assert sum(computed_corrections) == serial < cfg.kmax * cfg.n_steps
     ser = integrate(p, cfg)
     assert run_result(p, cfg, lanes, None, 0.0).updates.tobytes() == ser.updates.tobytes()
@@ -232,6 +258,18 @@ def test_process_count_changes_neither_bits_nor_channel_log(monkeypatch, variant
         for a, b in zip(ser.final_last_w, par.final_last_w):
             assert a.tobytes() == b.tobytes()
     assert logs[0] == logs[1] == logs[2]
+
+
+def test_channel_log_keeps_every_channel_at_every_process_count(monkeypatch):
+    # every logical channel is logged, down0 too, which carries nothing at one
+    # step: no step follows to read Block(0, 2)
+    p = scalar_pow()
+    cfg = SolverConfig(variant="Alg1", q=4, kmax=3, n_steps=1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        log = {}
+        integrate_parallel(p, cfg, channel_log=log)
+        assert log == {"up0": [0], "down0": []}, cpus
 
 
 def test_worker_count_is_checked():
@@ -278,6 +316,28 @@ def test_channel_get_starvation_raises():
     assert time.monotonic() - t0 < 2.0
     quiet.close()
     unused.close()
+
+
+@pytest.mark.parametrize("variant,kmax,cpus,lost,on", [
+    ("Alg1", 3, 2, Block(2, 0), ""),  # within worker 0, across processes 0 and 1
+    ("LO", 2, 3, Block(2, 1), " on channel up1"),
+], ids=["within-a-worker", "logical-channel"])
+def test_starved_process_names_the_awaited_block(monkeypatch, variant, kmax, cpus, lost, on):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    pack = pipeline._pack
+
+    def mislabel(b, ws, fs):  # runs in the forked processes
+        return pack(Block(b.n + 100, b.k) if b == lost else b, ws, fs)
+
+    monkeypatch.setattr(pipeline, "_pack", mislabel)
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError, match=re.escape(
+            f"receive of Block({lost.n}, {lost.k}){on} starved for 0.5s")):
+        integrate_parallel(scalar_pow(), SolverConfig(variant=variant, q=4, kmax=kmax,
+                                                      n_steps=8),
+                           channel_timeout=0.5)
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
 
 
 def _message(b: Block, dim: int = 1) -> bytes:
