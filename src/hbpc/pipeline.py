@@ -309,8 +309,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     for j in range(cfg.kmax + 1):
         v = asg.owner(j)
         for d in dependencies(Block(1, j), cfg.variant, cfg.kmax):
-            w = asg.owner(d.k)
             if d.k != j:
+                w = asg.owner(d.k)
                 readers[d.k][j] = d.n == 1, None if w == v else f"up{w}" if v > w else f"down{v}"
     names = sorted({name for k in readers for _, name in readers[k].values()} - {None})
     seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
