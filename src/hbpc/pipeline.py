@@ -9,13 +9,15 @@ stage only, and not at all from the last step. For the high-order variants
 worker p owns iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``;
 the low-order variant runs one worker per iterate and only ships upward.
 
-The workers run in at most min(workers, usable CPUs) forked processes, placed
-per iterate by ``_placement`` at boundaries that no block reads back across.
-For Alg1 and LO, the one after iterate 0 leaves process 0 the predictor chain,
-which only sends; any other Alg1 cut parts iterates k and k+1, which read each
-other (blue input one way, red term the other), so each step would pay a round
-trip. Alg2's predictor reads iterate 1, so it has no such boundary and each
-process takes an equal run of workers. A block read in another process crosses
+The workers run in min(workers, usable CPUs) forked processes, placed per
+iterate by ``_placement``. For Alg1 and LO, the boundary after iterate 0 is
+one-way, as no block reads back across it: process 0 runs the predictor chain
+alone and only sends, and the other processes take equal runs of iterates
+1..kmax. Those further LO cuts are one-way too; a further Alg1 cut parts
+iterates k and k+1, which read each other (blue input one way, red term the
+other), so each step pays a round trip across it. Alg2's predictor reads
+iterate 1, so it has no one-way boundary and each process takes an equal run
+of workers. A block read in another process crosses
 one pipe per ordered process pair as one flat float64 buffer, with all stages
 if a reader there needs them; the receiver computes on views of it, so on the
 sender's bits. A process waiting for a block polls its incoming pipes, one
@@ -157,19 +159,18 @@ def _usable_cpus() -> int:
 
 
 def _placement(variant: str, kmax: int, cpus: int) -> list:
-    """Each iterate's process. A boundary before iterate j is one-way if no
-    iterate below j reads one at or above j (``dependencies``); the first ends
-    process 0, and evenly picked others split the rest. With none, each of
-    min(workers, ``cpus``) processes takes an equal run of workers."""
+    """Each iterate's process, one of min(workers, ``cpus``). A boundary before
+    iterate j is one-way if no iterate below j reads one at or above j
+    (``dependencies``); the first ends process 0, and the other processes take
+    equal runs of the iterates above it. With none, each process takes an
+    equal run of workers."""
     asg = WorkerAssignment(variant=variant, kmax=kmax)
     C = min(cpus, asg.n_workers)
     top = [max(d.k for d in dependencies(Block(1, k), variant, kmax)) for k in range(kmax + 1)]
-    ways = [j for j in range(1, kmax + 1) if max(top[:j]) < j]
-    if C == 1 or not ways:
+    j = next((j for j in range(1, kmax + 1) if max(top[:j]) < j), None)
+    if C == 1 or j is None:
         return [asg.owner(k) * C // asg.n_workers for k in range(kmax + 1)]
-    C = min(C, len(ways) + 1)
-    cuts = ways[:1] + [ways[1 + i * (len(ways) - 1) // (C - 1)] for i in range(1, C - 1)]
-    return [sum(k >= cut for cut in cuts) for k in range(kmax + 1)]
+    return [0 if k < j else 1 + (k - j) * (C - 1) // (kmax + 1 - j) for k in range(kmax + 1)]
 
 
 def _pack(b: Block, ws, fs) -> bytes:
