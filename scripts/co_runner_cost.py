@@ -25,6 +25,7 @@ Needs two usable CPUs.
 """
 
 import argparse
+import importlib
 import os
 import select
 import statistics
@@ -39,21 +40,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 PARTNERS = ("sleeping", "spinning", "computing")
 
 
-def recorded_inputs():
+def recorded_inputs(package: str = "hbpc"):
     """(problem, config, seed, {(n, k): (states, bundles)}) of a serial run,
-    and the iterates of each process on two CPUs."""
-    from hbpc.core import eval_bundle
-    from hbpc.pipeline import _placement
-    from hbpc.problems import make
-    from hbpc.solver import SolverConfig, StageSource, run_blocks
-
-    p = make("pareschi_russo", eps=1.0)
-    cfg = SolverConfig(variant="Alg1", q=8, kmax=3, n_steps=240)
-    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    and the iterates of each process on two CPUs, from the imported hbpc
+    tree named ``package``."""
+    core, pipeline, problems, solver = (importlib.import_module(f"{package}.{m}")
+                                        for m in ("core", "pipeline", "problems", "solver"))
+    p = problems.make("pareschi_russo", eps=1.0)
+    cfg = solver.SolverConfig(variant="Alg1", q=8, kmax=3, n_steps=240)
+    seed = solver.StageSource(p.w0.copy(), core.eval_bundle(p, p.w0))
     blocks = {}
-    run_blocks(p, cfg, seed, range(cfg.kmax + 1),
-               send=lambda b, ws, fs: blocks.__setitem__((b.n, b.k), (ws, fs)))
-    proc = _placement(cfg.variant, cfg.kmax, 2)
+    solver.run_blocks(p, cfg, seed, range(cfg.kmax + 1),
+                      send=lambda b, ws, fs: blocks.__setitem__((b.n, b.k), (ws, fs)))
+    proc = pipeline._placement(cfg.variant, cfg.kmax, 2)
     groups = [[k for k in range(cfg.kmax + 1) if proc[k] == c] for c in (0, 1)]
     return (p, cfg, seed, blocks), groups
 

@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv, dgetrs
 
 from .core import Array, NonFiniteError
 
@@ -69,15 +69,17 @@ def _pivot_too_small(pivots: list) -> bool:
 def _lu_solve_checked(J: Array, rhs: Array) -> Array:
     """Solve J x = rhs by partial-pivoting LU; raise on a pivot below 1e-300.
 
-    Calls the LAPACK routines behind ``scipy.linalg.lu_factor``/``lu_solve``
-    directly: bitwise the same result, without the wrappers, which cost more
-    than factoring a d <= 4 system. An exactly singular J (dgetrf info > 0)
-    leaves a zero pivot, which the floor check catches.
+    One call of LAPACK's ``dgesv``, which factors J and solves as ``dgetrf``
+    and then ``dgetrs`` would: bitwise the same LU and solution
+    (``tests/test_newton.py`` checks both), in one f2py call instead of two.
+    An exactly singular J (info > 0) leaves a zero pivot, which the floor
+    check catches, unless a NaN pivot hides it; dgesv then leaves x unsolved,
+    so ``dgetrs`` gives the NaN solution it always gave.
     """
-    lu, piv, _ = dgetrf(J)
+    lu, piv, x, info = dgesv(J, rhs)
     if _pivot_too_small(lu.diagonal().tolist()):
         raise SingularJacobianError("LU pivot below 1e-300")
-    return dgetrs(lu, piv, rhs)[0]
+    return x if info == 0 else dgetrs(lu, piv, rhs)[0]
 
 
 def _norm(r: Array) -> float:

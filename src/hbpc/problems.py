@@ -9,14 +9,34 @@ stacked form as ``.stack`` (see ``SplitProblem``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import SplitProblem
 
 
+def _frozen(rows):
+    """A read-only float array of ``rows``: a constant Jacobian that every
+    call returns, so that no caller can change what later calls see."""
+    mat = np.array(rows, dtype=float)
+    mat.flags.writeable = False
+    return mat
+
+
 def _constant_stack(mat):
-    """Stacked form of a callback that always returns ``mat``."""
-    return lambda W: np.broadcast_to(mat, (len(W),) + mat.shape)
+    """Stacked form of a callback that always returns ``mat``: a read-only
+    (B, d, d) view of it, built once per stack size B (``np.broadcast_to``
+    costs more than the product the solver forms with it)."""
+    views = {}
+
+    def stack(W):
+        view = views.get(len(W))
+        if view is None:
+            view = views[len(W)] = np.broadcast_to(mat, (len(W),) + mat.shape)
+        return view
+
+    return stack
 
 
 def _second(g):
@@ -91,34 +111,64 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
                         dphi_i_jac=dphi_i_jac, name="scalar_pow")
 
 
+def _on_floats(fn, w):
+    """``fn(w1, w2, math)`` on the two entries of ``w`` as Python floats,
+    read once. Where ``math`` raises (sin or cos of +-inf) ``fn`` runs again
+    on numpy float64 scalars with ``numpy``, whose NaN the solver's
+    finiteness checks turn into NonFiniteError."""
+    w1, w2 = w.tolist()
+    try:
+        return fn(w1, w2, math)
+    except ValueError:
+        return fn(w[0], w[1], np)
+
+
 def pareschi_russo(eps: float = 1.0) -> SplitProblem:
     """Oscillator w1' = -w2, w2' = w1 + (sin(w1) - w2)/eps, w0 = (pi/2, 1),
-    horizon 5; the relaxation term is implicit, the rotation explicit."""
+    horizon 5; the relaxation term is implicit, the rotation explicit.
+
+    The callbacks that take sin or cos compute on Python floats
+    (``_on_floats``), as ``arenstorf``'s do: the expressions numpy float64
+    scalars would evaluate, in the same order, and ``math.sin``/``math.cos``
+    give ``np.sin``/``np.cos``'s bits here, so each result is bitwise the
+    stacked form's row (``tests/test_problems.py`` checks both on draws).
+    ``jac_e`` returns one shared read-only matrix.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    def phi_e(w):
+    def g(w1, w2, m):  # second entry of Phi_I
+        return (m.sin(w1) - w2) / eps
+
+    def dg_dw1(w1, w2, m):
+        return m.cos(w1) / eps
+
+    def dh(w1, w2, m):
+        # second entry of Phi_I' Phi is h = (-w2 cos w1 - w1 - (sin w1 - w2)/eps)/eps
+        s, c = m.sin(w1), m.cos(w1)
+        return (w2 * s - 1.0 - c / eps) / eps, (-c + 1.0 / eps) / eps
+
+    def phi_e(w):  # no arithmetic: as fast on numpy scalars
         return np.array([-w[1], w[0]])
 
     def phi_i(w):
-        return np.array([0.0, (np.sin(w[0]) - w[1]) / eps])
+        return np.array([0.0, _on_floats(g, w)])
+
+    jac_e_mat = _frozen([[0.0, -1.0], [1.0, 0.0]])
 
     def jac_e(w):
-        return np.array([[0.0, -1.0], [1.0, 0.0]])
+        return jac_e_mat
 
     def jac_i(w):
-        return np.array([[0.0, 0.0], [np.cos(w[0]) / eps, -1.0 / eps]])
+        return np.array([0.0, 0.0, _on_floats(dg_dw1, w), -1.0 / eps]).reshape(2, 2)
 
     def dphi_i_jac(w):
-        # second row of Phi_I' Phi is g = (-w2 cos w1 - w1 - (sin w1 - w2)/eps)/eps
-        w1, w2 = w
-        dg_dw1 = (w2 * np.sin(w1) - 1.0 - np.cos(w1) / eps) / eps
-        dg_dw2 = (-np.cos(w1) + 1.0 / eps) / eps
-        return np.array([[0.0, 0.0], [dg_dw1, dg_dw2]])
+        dh_dw1, dh_dw2 = _on_floats(dh, w)
+        return np.array([0.0, 0.0, dh_dw1, dh_dw2]).reshape(2, 2)
 
     phi_e.stack = lambda W: np.stack([-W[:, 1], W[:, 0]], axis=1)
     phi_i.stack = lambda W: _second((np.sin(W[:, 0]) - W[:, 1]) / eps)
-    jac_e.stack = _constant_stack(jac_e(None))
+    jac_e.stack = _constant_stack(jac_e_mat)
     jac_i.stack = lambda W: _second_row(np.cos(W[:, 0]) / eps, -1.0 / eps)
     dphi_i_jac.stack = lambda W: _second_row(
         (W[:, 1] * np.sin(W[:, 0]) - 1.0 - np.cos(W[:, 0]) / eps) / eps,
@@ -274,6 +324,7 @@ def arenstorf() -> SplitProblem:
     multiply-adds, which Python float sums do not reproduce), and the
     fallback to float64 scalars where Python raises instead of returning
     inf/NaN (``_at_position``). The stacked forms keep that float math per row.
+    ``jac_e`` returns one shared read-only matrix.
     """
 
     def phi_e(w):
@@ -284,10 +335,10 @@ def arenstorf() -> SplitProblem:
         ax, ay = _at_position(_accel, w)
         return np.array([0.0, 0.0, ax, ay])
 
-    jac_e_mat = np.array([[0.0, 0.0, 1.0, 0.0],
-                          [0.0, 0.0, 0.0, 1.0],
-                          [1.0, 0.0, 0.0, 2.0],
-                          [0.0, 1.0, -2.0, 0.0]])
+    jac_e_mat = _frozen([[0.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0, 2.0],
+                         [0.0, 1.0, -2.0, 0.0]])
 
     def jac_e(w):
         return jac_e_mat

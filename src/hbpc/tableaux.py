@@ -12,7 +12,7 @@ as numerator/denominator expressions so they can be reviewed digit by digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,16 @@ class TwoDerivativeTableau:
     c: Array
     b1: Array
     b2: Array
+    # (b1, b2) rows of a valid stage list as (m, 1, s) stacks, keyed by the
+    # list as a tuple; the first ``quadrature`` to read a list builds them
+    stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "b1", np.asarray(self.b1, dtype=float))
-        object.__setattr__(self, "b2", np.asarray(self.b2, dtype=float))
+        # read-only copies, so that the stacks built from them stay valid
+        for name in ("c", "b1", "b2"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def builtin(q: int) -> TwoDerivativeTableau:
@@ -76,15 +81,22 @@ def quadrature(tab: TwoDerivativeTableau, l, dt: float, phis, dphis) -> Array:
     stacks of B such blocks give the (B, d) quadratures, row b bitwise that of
     block b alone; a list ``l`` of m stages gives (m, d) or (B, m, d), each row
     bitwise that stage's alone. Exact for polynomial integrands up to degree
-    q - 1 over [0, c_l * dt].
+    q - 1 over [0, c_l * dt]. A list's weight stacks are built once per
+    tableau (``stacks``); a stage outside 0..s-1 raises ValueError on every call.
     """
-    if not (all(0 <= i < tab.s for i in l) if isinstance(l, list) else 0 <= l < tab.s):
+    if isinstance(l, list):
+        stacks = tab.stacks.get(key := tuple(l))
+        if stacks is None:
+            if not all(0 <= i < tab.s for i in l):
+                raise ValueError(f"stage index {l} outside 0..{tab.s - 1}")
+            stacks = tab.stacks[key] = tab.b1[l, None], tab.b2[l, None]
+    elif not 0 <= l < tab.s:
         raise ValueError(f"stage index {l} outside 0..{tab.s - 1}")
     phis = np.asarray(phis, dtype=float)
     dphis = np.asarray(dphis, dtype=float)
     if isinstance(l, list):  # (m, 1, s) @ (..., 1, s, d): (m, s) @ gives other bits
-        return (dt * (tab.b1[l, None] @ phis[..., None, :, :])
-                + dt * dt * (tab.b2[l, None] @ dphis[..., None, :, :]))[..., 0, :]
+        return (dt * (stacks[0] @ phis[..., None, :, :])
+                + dt * dt * (stacks[1] @ dphis[..., None, :, :]))[..., 0, :]
     return dt * (tab.b1[l] @ phis) + dt * dt * (tab.b2[l] @ dphis)
 
 

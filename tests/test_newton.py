@@ -323,3 +323,74 @@ def test_norms_rows_are_norm_bitwise(rows, d, rnd, scale):
     with np.errstate(all="ignore"):
         got, ref = _norms(R).tolist(), [_norm(r) for r in R]
     assert got == ref
+
+
+def _drawn_systems(d, rng, n):
+    """``n`` (J, rhs) pairs of each kind at size d: well conditioned; a small
+    leading diagonal, so partial pivoting swaps rows; and ill conditioned
+    (condition numbers near 1e10 to 1e15)."""
+    for _ in range(n):
+        rhs = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+        yield rng.standard_normal((d, d)) + 3.0 * np.eye(d), rhs
+        J = rng.standard_normal((d, d))
+        J[np.diag_indices(d)] *= 1e-8
+        yield J, rhs
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = np.logspace(0, -rng.uniform(10, 15), d) if d > 1 else [10.0 ** -rng.uniform(10, 15)]
+        yield (U * s) @ V.T, rhs
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_dgesv_equals_dgetrf_then_dgetrs_bitwise(d):
+    # _lu_solve_checked makes one dgesv call; its LU (whose diagonal the
+    # pivot floor reads), pivots and solution are those of dgetrf + dgetrs.
+    from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
+
+    from hbpc.newton import _lu_solve_checked
+
+    swapped = 0
+    for J, rhs in _drawn_systems(d, np.random.default_rng(d), 700):
+        lu, piv, x, info = dgesv(J, rhs)
+        lu2, piv2, info2 = dgetrf(J)
+        x2 = dgetrs(lu2, piv2, rhs)[0]
+        assert info == info2 == 0
+        assert lu.tobytes() == lu2.tobytes() and piv.tobytes() == piv2.tobytes()
+        assert x.tobytes() == x2.tobytes()
+        assert _lu_solve_checked(J, rhs).tobytes() == x2.tobytes()
+        swapped += bool((piv != np.arange(d)).any())
+    assert d == 1 or swapped >= 700
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["pivot_1e-301", "exactly_singular"])
+def test_lu_solve_raises_below_the_pivot_floor(d, kind):
+    from hbpc.newton import _lu_solve_checked
+
+    J = np.eye(d) + np.triu(np.ones((d, d)), 1)
+    J[-1, -1] = 1e-301 if kind == "pivot_1e-301" else 0.0
+    if kind == "exactly_singular" and d > 1:
+        J[-1] = J[0]  # a repeated row: an exact zero pivot after elimination
+    with pytest.raises(SingularJacobianError):
+        _lu_solve_checked(J, np.ones(d))
+
+
+@pytest.mark.parametrize("J", [[[0.0, 0.0], [0.0, np.nan]], [[np.nan, 1.0], [1.0, 1.0]],
+                               [[0.0, 1.0, 2.0], [0.0, np.nan, 1.0], [0.0, 1.0, 3.0]]],
+                         ids=["zero-then-nan", "nan-then-zero", "d3"])
+def test_zero_pivot_beside_nan_pivot_solves_as_dgetrs(J):
+    # A NaN pivot keeps the floor from tripping on an exact zero one; dgesv
+    # (info > 0) then returns the right-hand side unsolved, so the solve
+    # falls back to dgetrs, whose NaN solution Newton's checks catch.
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    from hbpc.newton import _lu_solve_checked
+
+    J = np.array(J)
+    rhs = np.ones(len(J))
+    lu, piv, info = dgetrf(J)
+    assert info > 0
+    with np.errstate(all="ignore"):
+        want = dgetrs(lu, piv, rhs)[0]
+        assert _lu_solve_checked(J, rhs).tobytes() == want.tobytes()
+    assert np.isnan(want).any()

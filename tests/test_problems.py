@@ -1,5 +1,7 @@
 """Benchmark problem wiring: fluxes, analytic Jacobians, closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,3 +431,121 @@ def test_stacked_callbacks_equal_per_state_calls_on_many_states(name):
 ], ids=["arenstorf", "van_der_pol", "scalar_pow", "scalar_pow_overflow"])
 def test_stacked_callbacks_where_python_floats_raise_or_leave_the_reals(name, rows):
     _assert_rows_equal_per_state_calls(make(name), np.array(rows))
+
+
+# -- Pareschi-Russo on Python floats --------------------------------------------
+
+def test_math_sin_cos_equal_numpy_bitwise():
+    # The per-state callbacks take math.sin/math.cos where the stacked forms
+    # and the numpy-scalar formulas take np.sin/np.cos: on 10^5 draws near
+    # the orbit, at 1e6 and over the whole exponent range, and at +-0, the
+    # smallest subnormals and the largest floats, both give the same bits.
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        rng.uniform(-10.0, 10.0, 40000),
+        rng.standard_normal(20000) * 1e6,
+        np.ldexp(rng.uniform(-1.0, 1.0, 40000), rng.integers(-1074, 1024, 40000)),
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]])
+    xs = x.tolist()
+    for fn, vec in ((math.sin, np.sin), (math.cos, np.cos)):
+        got = np.array([fn(v) for v in xs])
+        assert got.tobytes() == vec(x).tobytes(), fn.__name__
+        scalars = np.array([vec(v) for v in x[::10]])  # numpy float64 scalars
+        assert got[::10].tobytes() == scalars.tobytes(), fn.__name__
+
+
+def _numpy_scalar_pareschi_russo(eps):
+    """Pareschi-Russo's per-state callbacks on numpy float64 scalars."""
+    def dphi_i_jac(w):
+        w1, w2 = w
+        dg_dw1 = (w2 * np.sin(w1) - 1.0 - np.cos(w1) / eps) / eps
+        dg_dw2 = (-np.cos(w1) + 1.0 / eps) / eps
+        return np.array([[0.0, 0.0], [dg_dw1, dg_dw2]])
+
+    return {"phi_e": lambda w: np.array([-w[1], w[0]]),
+            "phi_i": lambda w: np.array([0.0, (np.sin(w[0]) - w[1]) / eps]),
+            "jac_e": lambda w: np.array([[0.0, -1.0], [1.0, 0.0]]),
+            "jac_i": lambda w: np.array([[0.0, 0.0], [np.cos(w[0]) / eps, -1.0 / eps]]),
+            "dphi_i_jac": dphi_i_jac}
+
+
+# near the orbit, +-0, any magnitude up to the largest float, and the states
+# at which math.sin/math.cos raise (+-inf) or return NaN
+_PR_ENTRY = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]),
+                      st.floats(-1.7e308, 1.7e308),
+                      st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PR_ENTRY, min_size=2, max_size=2),
+       st.sampled_from([1.0, 0.5, 1e-3, 3.0]))
+def test_pareschi_russo_callbacks_equal_numpy_scalar_formulas_bitwise(w, eps):
+    # The stacked row is bitwise too at a finite state; at a non-finite one
+    # array and scalar arithmetic may propagate NaNs of either sign.
+    ref = _numpy_scalar_pareschi_russo(eps)
+    p = pareschi_russo(eps=eps)
+    W = np.array([w])
+    with np.errstate(all="ignore"):
+        for cb in _CALLBACKS:
+            got = getattr(p, cb)(W[0].copy())
+            assert got.tobytes() == ref[cb](W[0].copy()).tobytes(), (cb, w)
+            row = np.ascontiguousarray(getattr(p, cb).stack(W)[0])
+            if np.isfinite(W).all():
+                assert row.tobytes() == got.tobytes(), (cb, w)
+            else:
+                assert np.array_equal(row, got, equal_nan=True), (cb, w)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3])
+def test_pareschi_russo_stacked_rows_equal_per_state_calls_at_large_angles(eps):
+    rng = np.random.default_rng(5)
+    W = np.concatenate([rng.uniform(-4.0, 4.0, (2000, 2)),
+                        rng.standard_normal((2000, 2)) * 10.0 ** rng.integers(-300, 300, (2000, 2))])
+    _assert_rows_equal_per_state_calls(pareschi_russo(eps=eps), W)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_pareschi_russo_nonfinite_state_ends_in_nonfinite_error(bad):
+    # math.sin/math.cos raise ValueError at +-inf; the callbacks fall back to
+    # numpy's NaN, so a Newton solve that starts at or steps to such a state
+    # raises NonFiniteError, as it did on numpy scalars.
+    from hbpc.core import NonFiniteError
+    from hbpc.newton import solve
+
+    p = pareschi_russo()
+    with np.errstate(all="ignore"):
+        for cb in ("phi_i", "jac_i", "dphi_i_jac"):
+            assert np.isnan(getattr(p, cb)(np.array([bad, 0.5]))).any(), cb
+
+    def F(w):  # its one Newton step from 0 goes to (-inf, 0): 1e200 / 1e-200
+        return np.array([1e200, 0.0]) + p.phi_i(w) + p.dphi_i_jac(w) @ np.ones(2)
+
+    def J(w):
+        return np.diag([1e-200, 1.0])
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match="at the Newton starting point"):
+            solve(F, J, np.array([bad, 0.0]))
+        with pytest.raises(NonFiniteError, match="in Newton iteration"):
+            solve(F, J, np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["arenstorf", "pareschi_russo"])
+def test_shared_constant_jacobian_is_read_only(name):
+    # jac_e returns one matrix on every call, its stacked form one view of it
+    # per size; an in-place write to either must raise rather than change
+    # what later calls see.
+    p = make(name)
+    w = p.w0.copy()
+    before = p.jac_e(w).copy()
+    J = p.jac_e(w)
+    assert J is p.jac_e(w + 1.0)
+    with pytest.raises(ValueError):
+        J *= 2.0
+    with pytest.raises(ValueError):
+        J[0, 0] = 5.0
+    W = np.array([w, w])
+    with pytest.raises(ValueError):
+        p.jac_e.stack(W)[0, 0, 0] = 5.0
+    assert p.jac_e.stack(W + 1.0) is p.jac_e.stack(W)  # one view per stack size
+    assert p.jac_e(w).tobytes() == before.tobytes()

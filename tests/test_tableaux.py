@@ -129,3 +129,37 @@ def test_quadrature_constant_flux_is_exact(dt):
     for l in range(tab.s):
         got = quadrature(tab, l, dt, phis, dphis)
         assert got == pytest.approx(3.25 * tab.c[l] * dt, rel=1e-13)
+
+
+def test_quadrature_weight_stacks_are_built_once_per_tableau():
+    # A stage list's (m, 1, s) weight stacks are built on the first call and
+    # reused after; an invalid list raises on every call and is never kept.
+    tab = builtin(8)
+    rng = np.random.default_rng(3)
+    phis, dphis = rng.standard_normal((2, 5, tab.s, 2))
+    rows = [1, 2, 3]
+    first = quadrature(tab, rows, 0.1, phis, dphis)
+    stacks = tab.stacks[(1, 2, 3)]
+    assert stacks[0].tobytes() == tab.b1[rows, None].tobytes()
+    assert stacks[1].tobytes() == tab.b2[rows, None].tobytes()
+    assert stacks[0].shape == (3, 1, tab.s)
+    again = quadrature(tab, rows, 0.1, phis, dphis)
+    assert tab.stacks[(1, 2, 3)] is stacks and again.tobytes() == first.tobytes()
+    assert builtin(8).stacks == {}  # every tableau builds its own
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            quadrature(tab, [1, tab.s], 0.1, phis, dphis)
+        with pytest.raises(ValueError):
+            quadrature(tab, [-1], 0.1, phis, dphis)
+    assert list(tab.stacks) == [(1, 2, 3)]
+
+
+def test_tableau_coefficients_are_read_only():
+    # The cached weight stacks are copies of b1 and b2, so they must not change.
+    tab = builtin(6)
+    for name in ("c", "b1", "b2"):
+        with pytest.raises(ValueError):
+            getattr(tab, name)[0] = 1.0
+    b1 = np.zeros((2, 2))
+    TwoDerivativeTableau(q=4, s=2, c=[0.0, 1.0], b1=b1, b2=b1)
+    b1[0, 0] = 1.0  # the caller's array stays its own, and writable
