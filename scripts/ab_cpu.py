@@ -55,10 +55,10 @@ CASES = ("orbit", "study", "pipeline", "p0", "p1")
 def load(src: str, name: str):
     """The ``hbpc`` package under ``src``, imported as ``name``."""
     pkg = os.path.join(os.path.abspath(src), "hbpc")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
-    if spec is None:
+    init = os.path.join(pkg, "__init__.py")
+    if not os.path.isfile(init):
         raise SystemExit(f"ab_cpu: no hbpc package under {src}")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[pkg])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)

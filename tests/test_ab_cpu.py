@@ -34,3 +34,8 @@ def test_self_against_self_is_bitwise_equal(case):
 def test_refuses_bad_arguments(args):
     proc = _ab(SRC, SRC, *args)
     assert proc.returncode == 2 and "usage:" in proc.stderr
+
+
+def test_refuses_a_tree_without_hbpc(tmp_path):
+    proc = _ab(str(tmp_path), SRC, "--case", "p0", "--pairs", "1")
+    assert proc.returncode == 1 and "no hbpc package under" in proc.stderr
