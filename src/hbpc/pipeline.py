@@ -3,11 +3,11 @@
 Each logical worker runs the serial solver's block loop, ``solver.run_blocks``,
 over the iterates it owns (``WorkerAssignment``) and receives the other inputs
 from the workers that own them. ``dependencies`` decides what travels: a block
-that another worker reads as its blue input (same step) goes out with all its
-stages, one read as a red term or predictor source (next step) with its last
-stage only, and not at all from the last step. For the high-order variants
-worker p owns iterates {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``;
-the low-order variant runs one worker per iterate and only ships upward.
+that another worker reads, as its blue input (same step) or as a red term or
+predictor source (next step), goes out whole, and no next-step source goes
+out from the last step. For the high-order variants worker p owns iterates
+{2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``; the low-order variant
+runs one worker per iterate and only ships upward.
 
 The workers run in min(workers, usable CPUs) forked processes, placed per
 iterate by ``_placement``. For Alg1 and LO, the boundary after iterate 0 is
@@ -17,14 +17,13 @@ alone and only sends, and the other processes take equal runs of iterates
 iterates k and k+1, which read each other (blue input one way, red term the
 other), so each step pays a round trip across it. Alg2's predictor reads
 iterate 1, so it has no one-way boundary and each process takes an equal run
-of workers. A block read in another process crosses
-one pipe per ordered process pair as one flat float64 buffer, with all stages
-if a reader there needs them; the receiver computes on views of it, so on the
-sender's bits. A process waiting for a block polls its incoming pipes, one
-``select.poll`` set built per process, without blocking for up to ``_SPIN_S``
-before it sleeps, so it stays on its CPU through the gap in which a partner
-computes the block; once nothing has arrived for ``channel_timeout`` seconds
-it raises ``DeadlockError`` naming the block and its logical channel, if any.
+of workers. A block read in another process crosses one pipe per ordered
+process pair whole, as one flat float64 buffer; the receiver computes on views
+of it, so on the sender's bits. A process waiting for a block polls its
+incoming pipes without blocking for up to ``_SPIN_S`` before it sleeps, so it
+stays on its CPU through the gap in which a partner computes the block; once
+nothing has arrived for ``channel_timeout`` seconds it raises
+``DeadlockError`` naming the block and its logical channel, if any.
 ``channel_log`` records the logical hand-offs per worker pair, crossing or
 not, so it does not depend on the CPU count. ``fork_join``, shared with the
 study harness, forks the processes and joins them: a process's exception
@@ -105,18 +104,16 @@ class WorkerAssignment:
 
 @dataclass(frozen=True)
 class BlockResult:
-    """One received block, as ``_unpack`` rebuilds it from a message.
-
-    The last-stage state and bundle always travel; the full per-stage lists
-    ride along when a reader's quadrature needs them (upward messages).
-    """
+    """One received block, as ``_unpack`` rebuilds it from a message: every
+    stage's state and bundle, and the last stage's, which a red term or
+    predictor source reads."""
 
     n: int
     k: int
     w_last: np.ndarray
     f_last: object
-    stages_w: list | None = None
-    stages_f: list | None = None
+    stages_w: list
+    stages_f: list
 
 
 def simulate_schedule(variant: str, kmax: int, N: int) -> int:
@@ -187,31 +184,23 @@ def _unpack(buf: bytes, dim: int) -> BlockResult:
     a = np.frombuffer(buf)
     rows = a[2:].reshape(-1, 7, dim)
     ws, fs = [r[0] for r in rows], [FluxBundle(*r[1:]) for r in rows]
-    return BlockResult(int(a[0]), int(a[1]), ws[-1], fs[-1],
-                       *((ws, fs) if len(rows) > 1 else ()))
-
-
-def _poll_set(conns) -> tuple:
-    """One ``select.poll`` set over ``conns`` for reading, with each fd's
-    connection."""
-    poll = select.poll()
-    for conn in conns:
-        poll.register(conn, select.POLLIN)
-    return poll, {conn.fileno(): conn for conn in conns}
+    return BlockResult(int(a[0]), int(a[1]), ws[-1], fs[-1], ws, fs)
 
 
 def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
-             name: str | None, polled: tuple | None = None) -> BlockResult:
+             name: str | None) -> BlockResult:
     """Block b's message, filing every message that arrives on ``conns``
     meanwhile into ``inbox`` by (n, k); raise DeadlockError, naming b and the
     logical channel ``name`` if given, once nothing has arrived for
     ``timeout`` seconds.
 
-    Each wait polls ``polled`` (``_poll_set(conns)`` if not given) without
-    blocking for up to ``_SPIN_S`` and only then blocks for the rest of
-    ``timeout``.
+    Each wait polls ``conns`` without blocking for up to ``_SPIN_S`` and only
+    then blocks for the rest of ``timeout``.
     """
-    poll, by_fd = polled or _poll_set(conns)
+    poll = select.poll()
+    for conn in conns:
+        poll.register(conn, select.POLLIN)
+    by_fd = {conn.fileno(): conn for conn in conns}
     spin = min(_SPIN_S, timeout)
     while (b.n, b.k) not in inbox:
         start = time.perf_counter()
@@ -304,8 +293,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     proc = _placement(cfg.variant, cfg.kmax, _usable_cpus())  # iterate -> its process
 
     # readers[k][j]: iterate j reads Block(n, k) from another iterate, as its
-    # blue input (True: all stages) or as a step n+1 source (False: last
-    # stage), over a logical channel unless both are one worker's
+    # blue input (True) or as a step n+1 source (False), over a logical
+    # channel unless both are one worker's
     readers = {k: {} for k in range(cfg.kmax + 1)}
     for j in range(cfg.kmax + 1):
         v = asg.owner(j)
@@ -320,27 +309,23 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
     def work(c: int):
         ins = [r for (_, b), (r, _) in pipes.items() if b == c]
-        polled = _poll_set(ins)
         inbox = {}
         log = {name: [] for name in names}
 
         def receive(b: Block):
             name = next(name for j, (_, name) in readers[b.k].items() if proc[j] == c)
-            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name, polled)
-            return msg.stages_w or [msg.w_last], msg.stages_f or [msg.f_last]
+            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name)
+            return msg.stages_w, msg.stages_f
 
         def send(b: Block, ws, fs):
-            blue_to = {}  # process -> whether a reader there needs all stages
+            to = set()  # the processes that read it
             for j, (blue, name) in readers[b.k].items():
-                if not blue and b.n == cfg.n_steps - 1:
-                    continue  # no step follows to read it
-                if name:
-                    log[name].append(b.n)
-                if proc[j] != c:
-                    blue_to[proc[j]] = blue_to.get(proc[j], False) or blue
-            for to, blue in blue_to.items():
-                pipes[c, to][1].send_bytes(_pack(b, ws, fs) if blue
-                                           else _pack(b, ws[-1:], fs[-1:]))
+                if blue or b.n < cfg.n_steps - 1:  # else no step follows to read it
+                    to.add(proc[j])
+                    if name:
+                        log[name].append(b.n)
+            for d in to - {c}:
+                pipes[c, d][1].send_bytes(_pack(b, ws, fs))
 
         iterates = [k for k in range(cfg.kmax + 1) if proc[k] == c]
         return run_blocks(p, cfg, seed, iterates, receive, send), log

@@ -9,6 +9,7 @@ stacked form as ``.stack`` (see ``SplitProblem``).
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -167,12 +168,10 @@ def pareschi_russo(eps: float = 1.0) -> SplitProblem:
         return np.array([0.0, 0.0, dh_dw1, dh_dw2]).reshape(2, 2)
 
     phi_e.stack = lambda W: np.stack([-W[:, 1], W[:, 0]], axis=1)
-    phi_i.stack = lambda W: _second((np.sin(W[:, 0]) - W[:, 1]) / eps)
+    phi_i.stack = lambda W: _second(g(W[:, 0], W[:, 1], np))
     jac_e.stack = _constant_stack(jac_e_mat)
-    jac_i.stack = lambda W: _second_row(np.cos(W[:, 0]) / eps, -1.0 / eps)
-    dphi_i_jac.stack = lambda W: _second_row(
-        (W[:, 1] * np.sin(W[:, 0]) - 1.0 - np.cos(W[:, 0]) / eps) / eps,
-        (-np.cos(W[:, 0]) + 1.0 / eps) / eps)
+    jac_i.stack = lambda W: _second_row(dg_dw1(W[:, 0], W[:, 1], np), -1.0 / eps)
+    dphi_i_jac.stack = lambda W: _second_row(*dh(W[:, 0], W[:, 1], np))
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([np.pi / 2.0, 1.0]), t_end=5.0,
                         jac_e=jac_e, jac_i=jac_i, dphi_i_jac=dphi_i_jac,
@@ -191,8 +190,10 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
     def phi_i(w):
         return np.array([0.0, ((1.0 - w[0] ** 2) * w[1] - w[0]) / eps])
 
+    jac_e_mat = _frozen([[0.0, 1.0], [0.0, 0.0]])
+
     def jac_e(w):
-        return np.array([[0.0, 1.0], [0.0, 0.0]])
+        return jac_e_mat
 
     def jac_i(w):
         return np.array([[0.0, 0.0],
@@ -221,7 +222,7 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
     phi_e.stack = lambda W: np.stack([W[:, 1], np.zeros(len(W))], axis=1)
     phi_i.stack = lambda W: _second(
         ((1.0 - _pow_rows(W[:, 0], 2)) * W[:, 1] - W[:, 0]) / eps)
-    jac_e.stack = _constant_stack(jac_e(None))
+    jac_e.stack = _constant_stack(jac_e_mat)
     jac_i.stack = lambda W: _second_row((-2.0 * W[:, 0] * W[:, 1] - 1.0) / eps,
                                         (1.0 - _pow_rows(W[:, 0], 2)) / eps)
     dphi_i_jac.stack = dphi_i_jac_stack
@@ -409,12 +410,8 @@ BUILTIN = {
 
 def make(name: str, eps: float | None = None, alpha: float | None = None) -> SplitProblem:
     """Instantiate a named problem, passing eps/alpha where they apply."""
-    if name == "scalar_pow":
-        return scalar_pow(**({} if alpha is None else {"alpha": alpha}))
-    if name == "pareschi_russo":
-        return pareschi_russo(**({} if eps is None else {"eps": eps}))
-    if name == "van_der_pol":
-        return van_der_pol(**({} if eps is None else {"eps": eps}))
-    if name == "arenstorf":
-        return arenstorf()
-    raise KeyError(f"unknown problem {name!r} (choose from {sorted(BUILTIN)})")
+    if name not in BUILTIN:
+        raise KeyError(f"unknown problem {name!r} (choose from {sorted(BUILTIN)})")
+    given = {"eps": eps, "alpha": alpha}
+    params = inspect.signature(BUILTIN[name]).parameters
+    return BUILTIN[name](**{key: given[key] for key in params if given.get(key) is not None})

@@ -495,10 +495,11 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
         top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
         top[0] = seed.w
     by_step = sorted(lanes, reverse=True)  # a wavefront's blocks, earliest step first
-    prev = last = {}  # (n, k) -> (states, bundles, what a correction read, its tally)
+    # k -> (states, bundles, what a correction read, its tally) of its latest
+    # block, all a wavefront reads of its own, as it reads all before it writes
+    latest = {}
     for t in range(slope * (cfg.n_steps - 1) + cfg.kmax + 1):
-        done = {**prev, **last}  # the blocks of wavefronts t-2 and t-1, all it reads
-        front, cur = [], {}  # front: (n, k, source or red term, blue input, outputs of a skip)
+        front = []  # (n, k, source or red term, blue input, outputs of a skip)
         for k in by_step:
             n, off = divmod(t - k, slope)
             if off or not 0 <= n < cfg.n_steps:
@@ -507,12 +508,12 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
             if n == 0:
                 src = seed
             else:
-                ws, fs = done[n - 1, j][:2] if j in lanes else receive(Block(n - 1, j))
+                ws, fs = latest[j][:2] if j in lanes else receive(Block(n - 1, j))
                 src = StageSource(ws[-1], fs[-1])
             blue = read = outputs = None
             if k:
                 if k - 1 in lanes:
-                    *blue, read = done[n, k - 1]
+                    *blue, read = latest[k - 1]
                 else:
                     blue = receive(Block(n, k - 1))
                 if read is not None and _reads_same(src.w, blue[0], read):
@@ -531,11 +532,10 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
         for n, k, src, blue, outputs in front:
             ws, fs, results, tally = outputs or (*next(outs), None)
             tally = tally or _tally(results)
-            cur[n, k] = ws, fs, None if blue is None else (src.w, blue[0], results, tally)
+            latest[k] = ws, fs, None if blue is None else (src.w, blue[0], results, tally)
             if send is not None:
                 send(Block(n, k), ws, fs)
             lanes[k].add(n, ws[-1], results, tally)
-        prev, last = last, cur
     return list(lanes.values())
 
 

@@ -345,18 +345,25 @@ def _message(b: Block, dim: int = 1) -> bytes:
 
 
 def test_receive_returns_a_queued_message_at_once():
-    r, w = multiprocessing.get_context("fork").Pipe(duplex=False)
-    w.send_bytes(_message(Block(3, 2)))
-    w.send_bytes(_message(Block(3, 1)))
-    inbox = {}
-    # a timeout too short to wait at all: both messages are there already
-    msg = _receive([r], inbox, Block(3, 1), 1, 1e-9, "up0")
-    assert (msg.n, msg.k) == (3, 1) and msg.w_last.tolist() == [0.5]
-    assert list(inbox) == [(3, 2)]  # filed on the way
-    assert _receive([r], inbox, Block(3, 2), 1, 1e-9, "up0").k == 2
-    assert not r.poll()
-    r.close()
-    w.close()
+    # on two pipes, the awaited block arrives on the second while an earlier
+    # block waits on the first, as at a process that reads from two others
+    ctx = multiprocessing.get_context("fork")
+    for pipes in (1, 2):
+        ends = [ctx.Pipe(duplex=False) for _ in range(pipes)]
+        conns = [r for r, _ in ends]
+        ends[0][1].send_bytes(_message(Block(3, 2)))
+        ends[-1][1].send_bytes(_message(Block(3, 1)))
+        inbox = {}
+        # a timeout too short to wait at all: both messages are there already
+        msg = _receive(conns, inbox, Block(3, 1), 1, 1e-9, "up0")
+        assert (msg.n, msg.k) == (3, 1) and msg.w_last.tolist() == [0.5]
+        assert [w.tolist() for w in msg.stages_w] == [[0.5]]
+        assert list(inbox) == [(3, 2)]  # filed on the way
+        assert _receive(conns, inbox, Block(3, 2), 1, 1e-9, "up0").k == 2
+        assert not inbox and not any(r.poll() for r in conns)
+        for pair in ends:
+            for conn in pair:
+                conn.close()
 
 
 def test_receive_blocks_once_the_spin_budget_runs_out():

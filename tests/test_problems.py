@@ -530,7 +530,7 @@ def test_pareschi_russo_nonfinite_state_ends_in_nonfinite_error(bad):
             solve(F, J, np.array([0.0, 0.0]))
 
 
-@pytest.mark.parametrize("name", ["arenstorf", "pareschi_russo"])
+@pytest.mark.parametrize("name", ["arenstorf", "pareschi_russo", "van_der_pol"])
 def test_shared_constant_jacobian_is_read_only(name):
     # jac_e returns one matrix on every call, its stacked form one view of it
     # per size; an in-place write to either must raise rather than change
