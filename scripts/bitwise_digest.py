@@ -10,9 +10,10 @@ they return, bit for bit:
   iterations per iterate, and per step the Newton iterations, the residual
   norm of every stage solve and the last-stage states;
 - ``integrate_parallel`` on the same cases, which must equal the serial run
-  bitwise (the script exits with status 1 if it does not). Each case runs a
-  second time as if on 3 CPUs, so that a process receives from two others
-  even on a 2-CPU machine; that run is compared with the serial one but not
+  bitwise (the script exits with status 1 if it does not). Each case runs
+  again as if on 3 CPUs, so that a process receives from two others even on
+  a 2-CPU machine, and as if on 1 CPU, where the caller runs every iterate
+  and forks nothing; those runs are compared with the serial one but not
   hashed, so the total does not depend on the CPU count;
 - both again on scalar_pow Alg1 and Alg2 at q=8, kmax=9 with tight Newton
   tolerances, where the sweeps reach their fixed point and the block loop
@@ -101,13 +102,15 @@ def main() -> int:
         digest(f"integrate {tag}", run_items(serial) + trace_items(serial))
         par = integrate_parallel(p, cfg)
         digest(f"integrate_parallel {tag}", run_items(par))
+        runs = [(tag, par)]
         usable_cpus = pipeline._usable_cpus
-        pipeline._usable_cpus = lambda: 3
         try:
-            par3 = integrate_parallel(p, cfg)
+            for cpus, label in ((3, "3 CPUs"), (1, "1 CPU")):
+                pipeline._usable_cpus = lambda: cpus
+                runs.append((f"{tag} on {label}", integrate_parallel(p, cfg)))
         finally:
             pipeline._usable_cpus = usable_cpus
-        for what, run in ((tag, par), (f"{tag} on 3 CPUs", par3)):
+        for what, run in runs:
             a_items, b_items = run_items(serial), run_items(run)
             if len(a_items) != len(b_items) or any(
                     a.tobytes() != b.tobytes() for a, b in zip(a_items, b_items)):

@@ -102,7 +102,7 @@ def measure(kind: str, cpu: int, inputs, groups, reps: int) -> float:
         finally:
             stop[1].send(None)
 
-    times = fork_join(job, 2, f"co-runner-{kind}", local=True, close=(stop, ready))[0]
+    times = fork_join(job, 2, f"co-runner-{kind}", close=(stop, ready))[0]
     return 1e3 * statistics.median(times)
 
 

@@ -250,8 +250,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceTable:
                 return rows, (n, exc)
         return rows, None
 
-    done = (_pipeline.fork_join(run_group, len(groups), "hbpc-study", local=True)
-            if len(groups) > 1 else [run_group(0)])
+    done = _pipeline.fork_join(run_group, len(groups), "hbpc-study")
     stop, exc = min((f for _, f in done if f), key=lambda f: f[0], default=(math.inf, None))
     table = ConvergenceTable(tuple(sorted((r for rows, _ in done for r in rows if r.n < stop),
                                           key=lambda r: r.n)), p.t_end)

@@ -9,13 +9,14 @@ out from the last step. For the high-order variants worker p owns iterates
 {2p, 2p+1} and reads from ``up{p-1}`` and ``down{p}``; the low-order variant
 runs one worker per iterate and only ships upward.
 
-The workers run in min(workers, usable CPUs) forked processes, placed per
-iterate by ``_placement``. For Alg1 and LO, the boundary after iterate 0 is
-one-way, as no block reads back across it: process 0 runs the predictor chain
-alone and only sends, and the other processes take equal runs of iterates
-1..kmax. Those further LO cuts are one-way too; a further Alg1 cut parts
-iterates k and k+1, which read each other (blue input one way, red term the
-other), so each step pays a round trip across it. Alg2's predictor reads
+The workers run in min(workers, usable CPUs) processes, placed per iterate by
+``_placement``: the caller runs process 0 and forks the others (``fork_join``,
+shared with the study harness). For Alg1 and LO, the boundary after iterate 0
+is one-way, as no block reads back across it: process 0 runs the predictor
+chain alone and only sends, and the other processes take equal runs of
+iterates 1..kmax. Those further LO cuts are one-way too; a further Alg1 cut
+parts iterates k and k+1, which read each other (blue input one way, red term
+the other), so each step pays a round trip across it. Alg2's predictor reads
 iterate 1, so it has no one-way boundary and each process takes an equal run
 of workers. A block read in another process crosses one pipe per ordered
 process pair whole, as one flat float64 buffer; the receiver computes on views
@@ -23,11 +24,11 @@ of it, so on the sender's bits. A process waiting for a block polls its
 incoming pipes without blocking for up to ``_SPIN_S`` before it sleeps, so it
 stays on its CPU through the gap in which a partner computes the block; once
 nothing has arrived for ``channel_timeout`` seconds it raises
-``DeadlockError`` naming the block and its logical channel, if any.
-``channel_log`` records the logical hand-offs per worker pair, crossing or
-not, so it does not depend on the CPU count. ``fork_join``, shared with the
-study harness, forks the processes and joins them: a process's exception
-reaches the caller with its type, message and notes.
+``DeadlockError`` naming the block and its logical channel, if any. Each
+process holds only its own pipe ends, so a send or receive raises at once if
+its partner has ended. ``channel_log`` records the logical hand-offs per
+worker pair, crossing or not, so it does not depend on the CPU count. A
+process's exception reaches the caller with its type, message and notes.
 
 Workers run the same block functions as the serial solver on the same cached
 flux bundles, so a parallel run is bit-identical to the serial one. A
@@ -60,13 +61,17 @@ from .solver import (Block, RunResult, SolverConfig, StageSource,  # noqa: F401
 # (pareschi_russo Alg1 q=8 kmax=3, N=240) took a median 0.57 s per call with
 # blocking receives, 0.55 s with a 0.2 ms budget, 0.41 s with 1 ms and 0.35 s
 # with 5 ms; on a quiet host every budget took 0.27-0.30 s. Spinning takes no
-# CPU from a partner: there is at most one process per usable CPU, and the
-# parent sleeps while they run.
+# CPU from a partner: there is at most one process per usable CPU, the
+# caller's process 0 among them.
 _SPIN_S = 0.005
 
 
 class DeadlockError(RuntimeError):
     """A worker starved on a channel, or the schedule simulator stalled."""
+
+
+class _PartnerLost(DeadlockError):
+    """A process's partner ended before it sent or took a block."""
 
 
 @dataclass(frozen=True)
@@ -188,11 +193,12 @@ def _unpack(buf: bytes, dim: int) -> BlockResult:
 
 
 def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
-             name: str | None) -> BlockResult:
+             name: str | None, sender: tuple | None = None) -> BlockResult:
     """Block b's message, filing every message that arrives on ``conns``
     meanwhile into ``inbox`` by (n, k); raise DeadlockError, naming b and the
     logical channel ``name`` if given, once nothing has arrived for
-    ``timeout`` seconds.
+    ``timeout`` seconds, or at once on EOF from ``sender``, the (process, pipe)
+    that carries b, if given.
 
     Each wait polls ``conns`` without blocking for up to ``_SPIN_S`` and only
     then blocks for the rest of ``timeout``.
@@ -201,6 +207,7 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
     for conn in conns:
         poll.register(conn, select.POLLIN)
     by_fd = {conn.fileno(): conn for conn in conns}
+    on = f" on channel {name}" if name else ""
     spin = min(_SPIN_S, timeout)
     while (b.n, b.k) not in inbox:
         start = time.perf_counter()
@@ -209,26 +216,32 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
         if not ready:
             ready = poll.poll(1e3 * max(0.0, timeout - (time.perf_counter() - start)))
         if not ready:
-            on = f" on channel {name}" if name else ""
             raise DeadlockError(f"receive of Block({b.n}, {b.k}){on} starved for {timeout:g}s")
         for fd, _ in ready:
-            msg = _unpack(by_fd[fd].recv_bytes(), dim)
-            inbox[msg.n, msg.k] = msg
+            try:
+                msg = _unpack(by_fd[fd].recv_bytes(), dim)
+                inbox[msg.n, msg.k] = msg
+            except EOFError:
+                if sender and by_fd[fd] is sender[1]:
+                    raise _PartnerLost(f"receive of Block({b.n}, {b.k}){on}: process "
+                                       f"{sender[0]} ended without sending it")
+                poll.unregister(fd)  # a partner that has sent all it will
     return inbox.pop((b.n, b.k))
 
 
-def fork_join(job, count: int, name: str, local: bool = False, close=()) -> list:
-    """[job(0), ..., job(count - 1)]: job(0) here if ``local``, every other in a
-    forked child f"{name}-{c}" (a spawned one could not be sent a problem's
-    closures, so call it while no other thread runs). A child's exception is
-    re-raised here with its type, message, attributes and notes; one that exits
-    without a result raises RuntimeError naming it. Every child is terminated
-    and joined, and the pipe pairs in ``close`` closed, before this returns."""
+def fork_join(job, count: int, name: str, close=()) -> list:
+    """[job(0), ..., job(count - 1)]: job(0) here, every other in a forked child
+    f"{name}-{c}" (a spawned one could not be sent a problem's closures, so call
+    it while no other thread runs). A job's exception is raised here with its
+    type, message, attributes and notes; a child that exits without a result
+    raises RuntimeError naming it; a lost partner only if nothing else failed.
+    Every child is terminated and joined, and the pipe pairs in ``close``
+    closed (before the wait if job(0) lost a partner), before this returns."""
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    results = {c: ctx.Pipe(duplex=False) for c in range(int(local), count)}
+    results = {c: ctx.Pipe(duplex=False) for c in range(1, count)}
 
     def run(c: int):
         try:
@@ -242,20 +255,25 @@ def fork_join(job, count: int, name: str, local: bool = False, close=()) -> list
     try:
         for child in children.values():
             child.start()
-        if local:
+        try:
             got[0] = job(0)
-        while len(got) < count:
-            pending = [c for c in children if c not in got]
+        except _PartnerLost as exc:  # a child's end is the cause: wait for it
+            got[0] = exc
+            for conn in [c for pair in close for c in pair]:
+                conn.close()  # so that no child stays blocked on this process
+        while pending := [c for c in children if c not in got]:
             wait([results[c][0] for c in pending] + [children[c].sentinel for c in pending])
             for c in pending:
                 exited = not children[c].is_alive()  # then it has sent all it will
                 if results[c][0].poll():
                     got[c] = results[c][0].recv()
-                    if isinstance(got[c], Exception):
+                    if isinstance(got[c], Exception) and not isinstance(got[c], _PartnerLost):
                         raise got[c]
                 elif exited:
                     raise RuntimeError(f"process {children[c].name} (pid {children[c].pid}) "
                                        f"exited with code {children[c].exitcode} without a result")
+        if lost := [r for r in got.values() if isinstance(r, _PartnerLost)]:
+            raise lost[0]
     finally:
         for child in children.values():
             if child.pid is not None:  # a failed fork leaves the rest unstarted
@@ -275,8 +293,9 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     ``workers`` is checked against the variant's required count when given.
     ``channel_log``, if supplied as a dict, is filled with the sequence of
     step indices handed over each logical channel, whether or not the hand-off
-    crossed a process (for discipline checks). The workers are forked
-    (``fork_join``), so call it while no other thread of the caller is running.
+    crossed a process (for discipline checks). The caller runs process 0 and
+    forks the others (``fork_join``), so call it while no other thread of the
+    caller is running; at one usable CPU it forks nothing.
     """
     from multiprocessing import Pipe
 
@@ -308,13 +327,17 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     pipes = {(a, b): Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
 
     def work(c: int):
+        for (a, b), (r, w) in pipes.items():  # a partner's end then shows as EOF or EPIPE
+            for end in [r] * (b != c) + [w] * (a != c):
+                end.close()
         ins = [r for (_, b), (r, _) in pipes.items() if b == c]
         inbox = {}
         log = {name: [] for name in names}
 
         def receive(b: Block):
             name = next(name for j, (_, name) in readers[b.k].items() if proc[j] == c)
-            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name)
+            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name,
+                           (proc[b.k], pipes[proc[b.k], c][0]))
             return msg.stages_w, msg.stages_f
 
         def send(b: Block, ws, fs):
@@ -325,7 +348,10 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
                     if name:
                         log[name].append(b.n)
             for d in to - {c}:
-                pipes[c, d][1].send_bytes(_pack(b, ws, fs))
+                try:
+                    pipes[c, d][1].send_bytes(_pack(b, ws, fs))
+                except BrokenPipeError:
+                    raise _PartnerLost(f"send of Block({b.n}, {b.k}): process {d} has ended")
 
         iterates = [k for k in range(cfg.kmax + 1) if proc[k] == c]
         return run_blocks(p, cfg, seed, iterates, receive, send), log

@@ -184,11 +184,25 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
     if eps <= 0:
         raise ValueError("eps must be positive")
 
+    # per state on numpy float64 scalars with builtin ``pow`` (the bits of
+    # ``**``), stacked on columns with ``_pow_rows``
+    def g(w1, w2, pw):  # second entry of Phi_I
+        return ((1.0 - pw(w1, 2)) * w2 - w1) / eps
+
+    def dg(w1, w2, pw):  # second row of Phi_I'
+        return (-2.0 * w1 * w2 - 1.0) / eps, (1.0 - pw(w1, 2)) / eps
+
+    def dh(w1, w2, pw):
+        # dh/dw for h = a w2 + b g, the second entry of Phi_I' Phi, with (a, b) = dg
+        a, b = dg(w1, w2, pw)
+        return ((-2.0 * pw(w2, 2) - 2.0 * w1 * g(w1, w2, pw)) / eps + a * b,
+                -2.0 * w1 * w2 / eps + a + pw(b, 2))
+
     def phi_e(w):
         return np.array([w[1], 0.0])
 
     def phi_i(w):
-        return np.array([0.0, ((1.0 - w[0] ** 2) * w[1] - w[0]) / eps])
+        return np.array([0.0, g(w[0], w[1], pow)])
 
     jac_e_mat = _frozen([[0.0, 1.0], [0.0, 0.0]])
 
@@ -196,36 +210,16 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
         return jac_e_mat
 
     def jac_i(w):
-        return np.array([[0.0, 0.0],
-                         [(-2.0 * w[0] * w[1] - 1.0) / eps,
-                          (1.0 - w[0] ** 2) / eps]])
+        return np.array([[0.0, 0.0], dg(w[0], w[1], pow)])
 
     def dphi_i_jac(w):
-        # second row of Phi_I' Phi is h = a w2 + b g with a = (-2 w1 w2 - 1)/eps,
-        # b = (1 - w1^2)/eps, g = ((1 - w1^2) w2 - w1)/eps
-        w1, w2 = w
-        a = (-2.0 * w1 * w2 - 1.0) / eps
-        b = (1.0 - w1 ** 2) / eps
-        g = ((1.0 - w1 ** 2) * w2 - w1) / eps
-        dh_dw1 = (-2.0 * w2 ** 2 - 2.0 * w1 * g) / eps + a * b
-        dh_dw2 = -2.0 * w1 * w2 / eps + a + b ** 2
-        return np.array([[0.0, 0.0], [dh_dw1, dh_dw2]])
-
-    def dphi_i_jac_stack(W):
-        w1, w2 = W.T
-        a = (-2.0 * w1 * w2 - 1.0) / eps
-        b = (1.0 - _pow_rows(w1, 2)) / eps
-        g = ((1.0 - _pow_rows(w1, 2)) * w2 - w1) / eps
-        return _second_row((-2.0 * _pow_rows(w2, 2) - 2.0 * w1 * g) / eps + a * b,
-                           -2.0 * w1 * w2 / eps + a + _pow_rows(b, 2))
+        return np.array([[0.0, 0.0], dh(w[0], w[1], pow)])
 
     phi_e.stack = lambda W: np.stack([W[:, 1], np.zeros(len(W))], axis=1)
-    phi_i.stack = lambda W: _second(
-        ((1.0 - _pow_rows(W[:, 0], 2)) * W[:, 1] - W[:, 0]) / eps)
+    phi_i.stack = lambda W: _second(g(W[:, 0], W[:, 1], _pow_rows))
     jac_e.stack = _constant_stack(jac_e_mat)
-    jac_i.stack = lambda W: _second_row((-2.0 * W[:, 0] * W[:, 1] - 1.0) / eps,
-                                        (1.0 - _pow_rows(W[:, 0], 2)) / eps)
-    dphi_i_jac.stack = dphi_i_jac_stack
+    jac_i.stack = lambda W: _second_row(*dg(W[:, 0], W[:, 1], _pow_rows))
+    dphi_i_jac.stack = lambda W: _second_row(*dh(W[:, 0], W[:, 1], _pow_rows))
 
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([2.0, -2.0 / 3.0 + 10.0 / 81.0 * eps]),

@@ -256,7 +256,7 @@ def test_process_count_changes_neither_bits_nor_channel_log(monkeypatch, variant
     cfg = SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=n_steps)
     ser = integrate(p, cfg)
     logs = []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         log = {}
         par = integrate_parallel(p, cfg, channel_log=log)
@@ -265,7 +265,7 @@ def test_process_count_changes_neither_bits_nor_channel_log(monkeypatch, variant
         assert np.array_equal(ser.newton_per_iterate, par.newton_per_iterate)
         for a, b in zip(ser.final_last_w, par.final_last_w):
             assert a.tobytes() == b.tobytes()
-    assert logs[0] == logs[1] == logs[2]
+    assert logs[0] == logs[1] == logs[2] == logs[3]
     if expected_log is not None:
         assert logs[0] == expected_log
 
@@ -317,8 +317,11 @@ def test_channel_get_starvation_raises():
 
 
 @pytest.mark.parametrize("variant,kmax,cpus,lost,on", [
-    ("Alg1", 3, 2, Block(2, 0), ""),  # within worker 0, across processes 0 and 1
-    ("LO", 2, 3, Block(2, 1), " on channel up1"),
+    # within worker 0, across processes 0 and 1: the sender, the caller, keeps
+    # its pipe ends open until the call ends, so the receive starves
+    ("Alg1", 3, 2, Block(2, 0), " starved for 0.5s"),
+    # the sender, process 1, ends and closes its pipe without the block
+    ("LO", 2, 3, Block(2, 1), " on channel up1: process 1 ended without sending it"),
 ], ids=["within-a-worker", "logical-channel"])
 def test_starved_process_names_the_awaited_block(monkeypatch, variant, kmax, cpus, lost, on):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
@@ -330,7 +333,7 @@ def test_starved_process_names_the_awaited_block(monkeypatch, variant, kmax, cpu
     monkeypatch.setattr(pipeline, "_pack", mislabel)
     t0 = time.monotonic()
     with pytest.raises(DeadlockError, match=re.escape(
-            f"receive of Block({lost.n}, {lost.k}){on} starved for 0.5s")):
+            f"receive of Block({lost.n}, {lost.k}){on}")):
         integrate_parallel(scalar_pow(), SolverConfig(variant=variant, q=4, kmax=kmax,
                                                       n_steps=8),
                            channel_timeout=0.5)
@@ -364,6 +367,38 @@ def test_receive_returns_a_queued_message_at_once():
         for pair in ends:
             for conn in pair:
                 conn.close()
+
+
+def test_receive_raises_at_once_when_the_sender_ends_without_the_block():
+    r, w = multiprocessing.get_context("fork").Pipe(duplex=False)
+    w.send_bytes(_message(Block(2, 1)))  # sent before it ended, but not the one awaited
+    w.close()
+    inbox = {}
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError, match=re.escape(
+            "receive of Block(3, 1) on channel up0: process 1 ended without sending it")):
+        _receive([r], inbox, Block(3, 1), 1, 10.0, "up0", (1, r))
+    assert time.monotonic() - t0 < 0.5
+    assert list(inbox) == [(2, 1)]
+    r.close()
+
+
+def test_receive_waits_past_eof_on_another_pipe():
+    # a partner that finished has sent all it will; the awaited block's
+    # sender is still computing it
+    ctx = multiprocessing.get_context("fork")
+    (done_r, done_w), (r, w) = ctx.Pipe(duplex=False), ctx.Pipe(duplex=False)
+    done_w.close()
+    timer = threading.Timer(0.1, w.send_bytes, args=(_message(Block(3, 1)),))
+    timer.start()
+    msg = _receive([done_r, r], {}, Block(3, 1), 1, 10.0, "up0", (2, r))
+    timer.join()
+    assert (msg.n, msg.k) == (3, 1)
+    # a later receive from the ended partner still sees its end
+    with pytest.raises(DeadlockError, match="process 1 ended without sending it"):
+        _receive([done_r, r], {}, Block(3, 0), 1, 10.0, "up0", (1, done_r))
+    for conn in (done_r, r, w):
+        conn.close()
 
 
 def test_receive_blocks_once_the_spin_budget_runs_out():
@@ -447,7 +482,6 @@ def test_worker_failure_raises_and_leaves_no_thread(monkeypatch, variant, kmax):
 
 
 def test_worker_exit_without_a_result_raises_promptly(monkeypatch):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def exit_in_worker(w):
@@ -455,20 +489,34 @@ def test_worker_exit_without_a_result_raises_promptly(monkeypatch):
             os._exit(3)
         return -w
 
-    t0 = time.monotonic()
-    with pytest.raises(RuntimeError,
-                       match=r"process hbpc-pipeline-\d \(pid \d+\) exited with code 3"):
-        integrate_parallel(_fails_below(exit_in_worker),
-                           SolverConfig(variant="Alg1", q=4, kmax=3, n_steps=20),
-                           channel_timeout=10.0)
-    assert time.monotonic() - t0 < 5.0
-    assert multiprocessing.active_children() == []
+    def exit_in_last(w):  # its partners see its end while they await each other
+        if multiprocessing.current_process().name == "hbpc-pipeline-2":
+            os._exit(3)
+        return -w
+
+    def nan_in_caller(w):  # the children wait on the caller's blocks
+        return np.full(1, np.nan) if os.getpid() == parent else -w
+
+    exited = (RuntimeError, r"process hbpc-pipeline-\d \(pid \d+\) exited with code 3")
+    for variant, kmax, cpus, then, (error, match) in [
+            ("Alg1", 3, 2, exit_in_worker, exited),  # the caller only sends
+            ("Alg2", 3, 2, exit_in_worker, exited),  # the caller receives from it
+            ("Alg2", 5, 3, exit_in_last, exited),
+            ("Alg1", 3, 2, nan_in_caller, (NonFiniteError, None))]:
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        t0 = time.monotonic()
+        with pytest.raises(error, match=match):
+            integrate_parallel(_fails_below(then),
+                               SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=20),
+                               channel_timeout=10.0)
+        assert time.monotonic() - t0 < 1.0, (variant, kmax, cpus)
+        assert multiprocessing.active_children() == []
 
 
 def test_failed_fork_raises_its_own_error(monkeypatch):
     from multiprocessing.process import BaseProcess
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
     start, started = BaseProcess.start, []
 
     def start_once(proc):
@@ -479,7 +527,7 @@ def test_failed_fork_raises_its_own_error(monkeypatch):
 
     monkeypatch.setattr(BaseProcess, "start", start_once)
     with pytest.raises(BlockingIOError, match="fork refused"):
-        integrate_parallel(scalar_pow(), SolverConfig(variant="Alg1", q=4, kmax=3,
+        integrate_parallel(scalar_pow(), SolverConfig(variant="LO", q=4, kmax=2,
                                                       n_steps=8))
     assert multiprocessing.active_children() == []
 
@@ -492,3 +540,57 @@ def test_integrate_parallel_closes_its_pipes(monkeypatch):
     with pytest.raises(NonFiniteError):
         integrate_parallel(_fails_below(_raise_with_note), cfg, channel_timeout=10.0)
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("cpus,forks", [(1, 0), (2, 1), (3, 2)])
+def test_the_caller_runs_process_0_and_forks_the_others(monkeypatch, cpus, forks):
+    from multiprocessing.process import BaseProcess
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    start, started = BaseProcess.start, []
+
+    def count(proc):
+        started.append(proc.name)
+        start(proc)
+
+    monkeypatch.setattr(BaseProcess, "start", count)
+    p, cfg = scalar_pow(), SolverConfig(variant="LO", q=4, kmax=2, n_steps=8)
+    par = integrate_parallel(p, cfg)
+    assert started == [f"hbpc-pipeline-{c}" for c in range(1, forks + 1)]
+    assert par.updates.tobytes() == integrate(p, cfg).updates.tobytes()
+
+
+@pytest.mark.parametrize("variant,kmax,cpus", [("Alg1", 3, 2), ("Alg2", 5, 3), ("LO", 2, 3)])
+def test_each_process_holds_only_its_own_pipe_ends(monkeypatch, tmp_path, variant, kmax,
+                                                  cpus):
+    import json
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    created, real_pipe = [], multiprocessing.Pipe
+
+    def pipe(duplex=True):  # integrate_parallel's pipes, in (sender, receiver) order
+        created.append(real_pipe(duplex))
+        return created[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+    proc = pipeline._placement(variant, kmax, cpus)
+    real_run_blocks = pipeline.run_blocks
+
+    def run_blocks(p, cfg, seed, iterates, *args):
+        pairs = [(a, b) for a in range(cpus) for b in range(cpus) if a != b]
+        held = {"read": sorted(pairs[i] for i, (r, _) in enumerate(created) if not r.closed),
+                "write": sorted(pairs[i] for i, (_, w) in enumerate(created) if not w.closed)}
+        for r, w in created:  # an end still held is a live descriptor
+            for conn in (r, w):
+                if not conn.closed:
+                    os.fstat(conn.fileno())
+        (tmp_path / f"{proc[iterates[0]]}.json").write_text(json.dumps(held))
+        return real_run_blocks(p, cfg, seed, iterates, *args)
+
+    monkeypatch.setattr(pipeline, "run_blocks", run_blocks)
+    integrate_parallel(scalar_pow(), SolverConfig(variant=variant, q=4, kmax=kmax, n_steps=8))
+    assert len(created) == cpus * (cpus - 1)
+    for c in range(cpus):
+        held = json.loads((tmp_path / f"{c}.json").read_text())
+        assert held == {"read": [[a, c] for a in range(cpus) if a != c],
+                        "write": [[c, b] for b in range(cpus) if b != c]}, c
