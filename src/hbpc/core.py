@@ -97,19 +97,17 @@ class SplitProblem:
 class FluxBundle:
     """Phi_E, Phi_I and their solution-derivatives dPhi_E, dPhi_I at one state.
 
-    The sums ``phi`` and ``dphi`` are formed once, on construction: every
-    correction sweep reads them once per quadrature that uses the bundle. A
-    caller that already holds ``phi_e + phi_i`` or ``dphi_e + dphi_i`` hands
-    it in instead.
+    The sums ``phi`` and ``dphi`` are formed once, on construction. A caller
+    that already holds ``phi_e + phi_i`` hands it in instead.
     """
 
     __slots__ = ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi")
 
     def __init__(self, phi_e: Array, phi_i: Array, dphi_e: Array, dphi_i: Array,
-                 phi: Array | None = None, dphi: Array | None = None):
+                 phi: Array | None = None):
         self.phi_e, self.phi_i, self.dphi_e, self.dphi_i = phi_e, phi_i, dphi_e, dphi_i
         self.phi = phi_e + phi_i if phi is None else phi
-        self.dphi = dphi_e + dphi_i if dphi is None else dphi
+        self.dphi = dphi_e + dphi_i
 
     def __repr__(self):
         return (f"FluxBundle(phi_e={self.phi_e!r}, phi_i={self.phi_i!r}, "

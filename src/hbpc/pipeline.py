@@ -19,19 +19,20 @@ parts iterates k and k+1, which read each other (blue input one way, red term
 the other), so each step pays a round trip across it. Alg2's predictor reads
 iterate 1, so it has no one-way boundary and each process takes an equal run
 of workers. A block read in another process crosses one pipe per ordered
-process pair whole, as one flat float64 buffer; the receiver computes on views
-of it, so on the sender's bits. A process waiting for a block polls its
-incoming pipes without blocking for up to ``_SPIN_S`` before it sleeps, so it
-stays on its CPU through the gap in which a partner computes the block; once
-nothing has arrived for ``channel_timeout`` seconds it raises
-``DeadlockError`` naming the block and its logical channel, if any. Each
-process holds only its own pipe ends, so a send or receive raises at once if
-its partner has ended. ``channel_log`` records the logical hand-offs per
-worker pair, crossing or not, so it does not depend on the CPU count. A
-process's exception reaches the caller with its type, message and notes.
+process pair whole: its (s, 7, d) stage array's bytes behind a 16-byte (n, k)
+header; the receiver computes on a read-only view of them, so on the sender's
+bits. A process waiting for a block polls its incoming pipes without blocking
+for up to ``_SPIN_S`` before it sleeps, so it stays on its CPU through the gap
+in which a partner computes the block; once nothing has arrived for
+``channel_timeout`` seconds it raises ``DeadlockError`` naming the block and
+its logical channel, if any. Each process holds only its own pipe ends, so a
+send or receive raises at once if its partner has ended. ``channel_log``
+records the logical hand-offs per worker pair, crossing or not, so it does
+not depend on the CPU count. A process's exception reaches the caller with
+its type, message and notes.
 
-Workers run the same block functions as the serial solver on the same cached
-flux bundles, so a parallel run is bit-identical to the serial one. A
+Workers run the same block functions as the serial solver on the same stage
+arrays, so a parallel run is bit-identical to the serial one. A
 synchronous cycle simulator exposes the schedule lengths that bound the
 attainable speedup.
 """
@@ -46,11 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluxBundle, SplitProblem, eval_bundle
+# nothing here calls eval_bundle: perfbench/tracing.py patches it by name
+from .core import SplitProblem, eval_bundle  # noqa: F401
 # perfbench/tracing.py patches the block functions by name on this module too
-from .solver import (Block, RunResult, SolverConfig, StageSource,  # noqa: F401
-                     correction_block, dependencies, predictor_block, run_blocks,
-                     run_result)
+from .solver import (Block, RunResult, SolverConfig, correction_block,  # noqa: F401
+                     dependencies, eval_stage, predictor_block, run_blocks, run_result)
 
 
 # How long a receive polls its pipes without blocking before it sleeps. A
@@ -107,11 +108,11 @@ class WorkerAssignment:
         return list(range(p * self.width, (p + 1) * self.width))
 
 
+# nothing in src builds one: perfbench/tracing.py patches it by name
 @dataclass(frozen=True)
 class BlockResult:
-    """One received block, as ``_unpack`` rebuilds it from a message: every
-    stage's state and bundle, and the last stage's, which a red term or
-    predictor source reads."""
+    """One received block: every stage's state and bundle, and the last
+    stage's, which a red term or predictor source reads."""
 
     n: int
     k: int
@@ -175,26 +176,22 @@ def _placement(variant: str, kmax: int, cpus: int) -> list:
     return [0 if k < j else 1 + (k - j) * (C - 1) // (kmax + 1 - j) for k in range(kmax + 1)]
 
 
-def _pack(b: Block, ws, fs) -> bytes:
-    """Block b's stages as one flat float64 buffer: (n, k), then per stage
-    w, Phi_E, Phi_I, dPhi_E, dPhi_I, Phi, dPhi."""
-    return np.concatenate([(float(b.n), float(b.k)),
-                           *(a for w, f in zip(ws, fs)
-                             for a in (w, f.phi_e, f.phi_i, f.dphi_e, f.dphi_i,
-                                       f.phi, f.dphi))]).tobytes()
+def _pack(b: Block, stages) -> bytes:
+    """Block b's (s, 7, d) ``stages`` as one message: (n, k) as two int64,
+    then the stages' bytes."""
+    return np.array((b.n, b.k), np.int64).tobytes() + stages.tobytes()
 
 
-def _unpack(buf: bytes, dim: int) -> BlockResult:
-    """``_pack``'s block, as views into ``buf``: the sender's bits."""
-    a = np.frombuffer(buf)
-    rows = a[2:].reshape(-1, 7, dim)
-    ws, fs = [r[0] for r in rows], [FluxBundle(*r[1:]) for r in rows]
-    return BlockResult(int(a[0]), int(a[1]), ws[-1], fs[-1], ws, fs)
+def _unpack(buf: bytes, dim: int) -> tuple:
+    """``_pack``'s (n, k) and a read-only (s, 7, d) view of its stages in
+    ``buf``: the sender's bits."""
+    n, k = np.frombuffer(buf, np.int64, 2).tolist()
+    return n, k, np.frombuffer(buf, offset=16).reshape(-1, 7, dim)
 
 
 def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
-             name: str | None, sender: tuple | None = None) -> BlockResult:
-    """Block b's message, filing every message that arrives on ``conns``
+             name: str | None, sender: tuple | None = None) -> np.ndarray:
+    """Block b's stages, filing every message that arrives on ``conns``
     meanwhile into ``inbox`` by (n, k); raise DeadlockError, naming b and the
     logical channel ``name`` if given, once nothing has arrived for
     ``timeout`` seconds, or at once on EOF from ``sender``, the (process, pipe)
@@ -219,8 +216,8 @@ def _receive(conns, inbox: dict, b: Block, dim: int, timeout: float,
             raise DeadlockError(f"receive of Block({b.n}, {b.k}){on} starved for {timeout:g}s")
         for fd, _ in ready:
             try:
-                msg = _unpack(by_fd[fd].recv_bytes(), dim)
-                inbox[msg.n, msg.k] = msg
+                n, k, stages = _unpack(by_fd[fd].recv_bytes(), dim)
+                inbox[n, k] = stages
             except EOFError:
                 if sender and by_fd[fd] is sender[1]:
                     raise _PartnerLost(f"receive of Block({b.n}, {b.k}){on}: process "
@@ -322,7 +319,7 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
                 w = asg.owner(d.k)
                 readers[d.k][j] = d.n == 1, None if w == v else f"up{w}" if v > w else f"down{v}"
     names = sorted({name for k in readers for _, name in readers[k].values()} - {None})
-    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    seed = eval_stage(p, p.w0)
     C = proc[-1] + 1
     pipes = {(a, b): Pipe(duplex=False) for a in range(C) for b in range(C) if a != b}
 
@@ -336,11 +333,10 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
 
         def receive(b: Block):
             name = next(name for j, (_, name) in readers[b.k].items() if proc[j] == c)
-            msg = _receive(ins, inbox, b, p.dim, channel_timeout, name,
-                           (proc[b.k], pipes[proc[b.k], c][0]))
-            return msg.stages_w, msg.stages_f
+            return _receive(ins, inbox, b, p.dim, channel_timeout, name,
+                            (proc[b.k], pipes[proc[b.k], c][0]))
 
-        def send(b: Block, ws, fs):
+        def send(b: Block, stages):
             to = set()  # the processes that read it
             for j, (blue, name) in readers[b.k].items():
                 if blue or b.n < cfg.n_steps - 1:  # else no step follows to read it
@@ -349,7 +345,7 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
                         log[name].append(b.n)
             for d in to - {c}:
                 try:
-                    pipes[c, d][1].send_bytes(_pack(b, ws, fs))
+                    pipes[c, d][1].send_bytes(_pack(b, stages))
                 except BrokenPipeError:
                     raise _PartnerLost(f"send of Block({b.n}, {b.k}): process {d} has ended")
 

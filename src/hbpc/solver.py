@@ -30,9 +30,10 @@ alone or of a whole wavefront.
 ``limit_integrate`` keeps its own sweep loop: its red term and stopping rule
 are not the DAG's.
 
-Stage solves delegate to the damped Newton iteration; flux bundles are cached
-per stage and reused everywhere so a pipelined execution of the same blocks
-performs bit-identical floating-point work.
+Stage solves delegate to the damped Newton iteration. A block is one (s, 7, d)
+array, per stage its state and the fluxes there (w, Phi_E, Phi_I, dPhi_E,
+dPhi_I, Phi, dPhi), from the solves to the pipeline's pipes; fluxes are
+evaluated once per stage, so a pipelined run does bit-identical work.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Array, FluxBundle, NonFiniteError, SplitProblem, all_finite,
-                   eval_bundle, fd_jacobian)
+from .core import (Array, NonFiniteError, SplitProblem, all_finite, eval_bundle,
+                   fd_jacobian)
 from .newton import NewtonConfig, NewtonResult, judge
 from . import newton as _newton
 from .tableaux import TwoDerivativeTableau, builtin, quadrature
@@ -86,14 +87,6 @@ class SolverConfig:
             raise ValueError("limit_tol must lie in (0, inf)")
         if self.corrector_start not in CORRECTOR_STARTS:
             raise ValueError(f"corrector_start must be one of {CORRECTOR_STARTS}")
-
-
-@dataclass(frozen=True)
-class StageSource:
-    """A state and its flux bundle, feeding a predictor or a red term."""
-
-    w: Array
-    f: FluxBundle
 
 
 @dataclass(frozen=True, order=True)
@@ -154,37 +147,44 @@ def _eye(dim: int) -> Array:
     return eye
 
 
-def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
-                 ncfg: NewtonConfig, at_start: list | None = None):
-    """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs from ``start``; return
-    (w, bundle, result).
+def eval_stage(p: SplitProblem, w: Array) -> Array:
+    """The (7, d) stage at state ``w``: w, then ``eval_bundle``'s six parts."""
+    f = eval_bundle(p, w)
+    return np.array([w, f.phi_e, f.phi_i, f.dphi_e, f.dphi_i, f.phi, f.dphi])
 
-    Newton starts at ``start.w`` and its first residual reads Phi_I and dPhi_I
-    from ``start.f``, so the start state costs no callback; Phi_I' and
-    d(dPhi_I)/dw there are evaluated only if Newton takes an iteration, and
-    once per block for stages that start at one state (the block's solves
-    share ``at_start``, [(state, Phi_I', d(dPhi_I)/dw)]); a solve that converges
-    at its start returns ``start.w`` and ``start.f`` themselves. Every other
-    Newton state is evaluated once: the residual calls Phi_E, Phi_I and Phi_I'
-    one time each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as the
-    last evaluation. The Newton matrix reuses that Phi_I' (Newton asks for it
-    only at the state the residual saw last), and the converged bundle is the
-    last evaluation plus dPhi_E = Phi_E' Phi, bitwise what ``eval_bundle``
-    gives at the solved state. The evaluation lives in this call, so
-    concurrent blocks share nothing. The residual Jacobian is assembled
-    analytically when the problem carries d(dPhi_I)/dw, otherwise by finite
-    differences of the residual map. Callers run it under
-    ``np.errstate(all="ignore")``, once per block: overflow shows up as the
-    NaN/Inf that Newton and the bundle check turn into NonFiniteError.
+
+def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: Array,
+                 ncfg: NewtonConfig, at_start: list | None = None):
+    """Solve w - a Phi_I(w) + a^2/2 dPhi_I(w) = rhs from the (7, d) stage
+    ``start``; return (stage, result).
+
+    Newton starts at state ``start[0]`` and its first residual reads Phi_I and
+    dPhi_I from the start's rows, so the start state costs no callback; Phi_I'
+    and d(dPhi_I)/dw there are evaluated only if Newton takes an iteration,
+    and once per block for stages that start at one stage object (the block's
+    solves share ``at_start``, [(stage, Phi_I', d(dPhi_I)/dw)]); a solve that
+    converges at its start returns ``start`` itself. Every other Newton state
+    is evaluated once: the residual calls Phi_E, Phi_I and Phi_I' one time
+    each and keeps them, with Phi and dPhi_I = Phi_I' Phi, as the last
+    evaluation. The Newton matrix reuses that Phi_I' (Newton asks for it only
+    at the state the residual saw last), and the converged stage is the last
+    evaluation plus dPhi_E = Phi_E' Phi, bitwise ``eval_stage`` at the solved
+    state. The evaluation lives in this call, so concurrent blocks share
+    nothing. The residual Jacobian is assembled analytically when the problem
+    carries d(dPhi_I)/dw, otherwise by finite differences of the residual map.
+    Callers run it under ``np.errstate(all="ignore")``, once per block:
+    overflow shows up as the NaN/Inf that Newton and the flux check turn into
+    NonFiniteError.
     """
     half_a2 = 0.5 * a * a
+    w0 = start[0]
     # (w, Phi_E, Phi_I, Phi, Phi_I', dPhi_I) at the last state past the start
     last = (None,) * 6
 
     def F(w):
         nonlocal last
-        if w is start.w:
-            return w - a * start.f.phi_i + half_a2 * start.f.dphi_i - rhs
+        if w is w0:
+            return w - a * start[2] + half_a2 * start[4] - rhs
         fe = p.phi_e(w)
         fi = p.phi_i(w)
         ji = p.jac_i(w)
@@ -198,20 +198,20 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
         at_start = [(None,)] if at_start is None else at_start
 
         def J(w):
-            if w is not start.w:
+            if w is not w0:
                 ji = last[4] if last[0] is w else p.jac_i(w)
                 return eye - a * ji + half_a2 * p.dphi_i_jac(w)
-            if at_start[0][0] is not w:
-                at_start[0] = w, p.jac_i(w), p.dphi_i_jac(w)
+            if at_start[0][0] is not start:
+                at_start[0] = start, p.jac_i(w), p.dphi_i_jac(w)
             _, ji, dji = at_start[0]
             return eye - a * ji + half_a2 * dji
     else:
         def J(w):
             return fd_jacobian(F, w)
 
-    res = _newton.solve(F, J, start.w, ncfg)
-    if res.w is start.w:
-        return start.w, start.f, res
+    res = _newton.solve(F, J, w0, ncfg)
+    if res.w is w0:
+        return start, res
     if last[0] is not res.w:  # never, while newton.solve keeps its contract
         F(res.w)
     w, fe, fi, ftot, _, di = last
@@ -219,13 +219,14 @@ def _solve_stage(p: SplitProblem, a: float, rhs: Array, start: StageSource,
     dphi = de + di
     if not math.isfinite((ftot + dphi).sum()) and not all_finite(fe, fi, de, di):
         raise NonFiniteError(f"flux evaluation produced NaN/Inf at w={w!r}")
-    return w, FluxBundle(fe, fi, de, di, ftot, dphi), res
+    return np.array([w, fe, fi, de, di, ftot, dphi]), res
 
 
 def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
     """``_solve_stage`` for B lanes at once on the callbacks' stacked forms:
     lane i solves w - a[i] Phi_I(w) + a[i]^2/2 dPhi_I(w) = rhs[i] from the
-    (state, bundle) ``starts[i]``; returns one (w, bundle, result) per lane.
+    stage ``starts[i]`` of the (B, 7, d) ``starts``; returns the (B, 7, d)
+    solved stages and one result per lane.
 
     Each row, a lane still iterating, takes ``newton.solve``'s steps and its
     ``judge`` verdicts, so it gets bitwise ``_solve_stage``'s results (matmul
@@ -237,35 +238,33 @@ def _solve_stages(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonCon
     try:
         return _stacked_newton(p, a, rhs, starts, ncfg)
     except (FloatingPointError, _newton.SingularJacobianError):
-        return [_solve_stage(p, a_i, rhs_i, StageSource(*start), ncfg)
-                for a_i, rhs_i, start in zip(a, rhs, starts)]
+        solved = [_solve_stage(p, *lane, ncfg) for lane in zip(a, rhs, starts)]
+        return np.array([stage for stage, _ in solved]), [res for _, res in solved]
 
 
 def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonConfig):
     # Per-lane norms and dampings are Python floats, bitwise numpy's.
     # A finite sum has finite terms: a finite J.sum() passes J, a finite sum
-    # of phi + dphi the four bundle parts; other sums fall to the exact check.
+    # of phi + dphi the four flux parts; other sums fall to the exact check.
     phi_e, phi_i, jac_e, jac_i, dphi_i_jac = (getattr(p, cb).stack for cb in _CALLBACKS)
     d = rhs.shape[1]
-    W = np.array([w for w, _ in starts])
-    PI = np.array([f.phi_i for _, f in starts])
-    DPI = np.array([f.dphi_i for _, f in starts])
+    W = starts[:, 0].copy()
     a = a[:, None]
     h = 0.5 * a * a
-    R = W - a * PI + h * DPI - rhs
+    R = W - a * starts[:, 2] + h * starts[:, 4] - rhs
     rn = _newton._norms(R).tolist()
     if not all(map(math.isfinite, rn)):
         raise FloatingPointError
-    out, hist, damp = [None] * len(rn), [[r] for r in rn], [[] for _ in rn]
-    th, lanes = [None] * len(rn), []
-    for i, (h_i, (w, f)) in enumerate(zip(hist, starts)):
+    out, results = starts.copy(), [None] * len(rn)  # a lane retiring at its start keeps it
+    hist, damp, th, lanes = [[r] for r in rn], [[] for _ in rn], [None] * len(rn), []
+    for i, h_i in enumerate(hist):
         th[i], why = judge(ncfg, h_i)
         if why is None:
             lanes.append(i)
         else:
-            out[i] = w, f, NewtonResult(w, 0, rn[i], why, h_i, damp[i])
+            results[i] = NewtonResult(W[i], 0, rn[i], why, h_i, damp[i])
     if not lanes:
-        return out
+        return out, results
     if len(lanes) < len(rn):
         W, R, a, h, rhs = (x.take(lanes, 0) for x in (W, R, a, h, rhs))
     theta, a3, h3 = None, a[:, :, None], h[:, :, None]
@@ -297,18 +296,19 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
             (keep if why is None else done).append((j, why))
         if done:
             sel = [j for j, _ in done]
-            Wd, FTd, DId = (W, FT, DI) if not keep else (x.take(sel, 0) for x in (W, FT, DI))
+            Wd, FEd, FId, FTd, DId = ((W, FE, FI, FT, DI) if not keep else
+                                      (x.take(sel, 0) for x in (W, FE, FI, FT, DI)))
             DE = (jac_e(Wd) @ FTd[:, :, None])[:, :, 0]
             DP = DE + DId
-            if not math.isfinite((FTd + DP).sum()) and not all_finite(
-                    FE.take(sel, 0), FI.take(sel, 0), DE, DId):
+            if not math.isfinite((FTd + DP).sum()) and not all_finite(FEd, FId, DE, DId):
                 raise FloatingPointError
-            for m, (j, why) in enumerate(done):
-                i, w = lanes[j], W[j]
-                f = FluxBundle(FE[j], FI[j], DE[m], DI[j], FT[j], DP[m])
-                out[i] = w, f, NewtonResult(w, len(damp[i]), new[j], why, hist[i], damp[i])
+            rows = np.array((Wd, FEd, FId, DE, DId, FTd, DP))  # twice as fast as np.stack
+            out[[lanes[j] for j in sel]] = rows.swapaxes(0, 1)
+            for j, why in done:
+                i = lanes[j]
+                results[i] = NewtonResult(W[j], len(damp[i]), new[j], why, hist[i], damp[i])
             if not keep:
-                return out
+                return out, results
             sel = [j for j, _ in keep]
             lanes = [lanes[j] for j in sel]
             W, R, a, h, rhs, JI = (x.take(sel, 0) for x in (W, R, a, h, rhs, JI))
@@ -318,55 +318,51 @@ def _stacked_newton(p: SplitProblem, a: Array, rhs: Array, starts, ncfg: NewtonC
 def _jacobi_blocks(p: SplitProblem, tab: TwoDerivativeTableau, dt: float, blocks,
                    ncfg: NewtonConfig, start: str | None, stacked: bool = False) -> list:
     """The stage systems of Jacobi blocks, corrections as (red term, blue
-    (states, bundles)), then maybe a predictor as (source, None), solved by one
-    ``_solve_stages`` when ``stacked``, else by one ``_solve_stage`` per stage;
-    returns what ``correction_block`` and ``predictor_block`` return, per
-    block. Every stage reads only the blocks' inputs: the stage-l quadrature
-    reads the blue Phi and dPhi, and Newton starts at blue stage l
-    (``start`` "hierarchical"), the red term or the source."""
-    m = tab.s - 1
-    corr = [(red, blue) for red, blue in blocks if blue is not None]
-    src = blocks[-1][0] if len(corr) < len(blocks) else None
-    a, rhs, starts = [dt] * (len(corr) * m), [], []
+    block), then maybe a predictor as (source, None), solved by one
+    ``_solve_stages`` when ``stacked``, else (one block) by one
+    ``_solve_stage`` per stage from the inputs' own stage objects, which its
+    ``at_start`` memo keys on; returns what ``correction_block`` and
+    ``predictor_block`` return, per block. The blue blocks stack into one
+    array, read by column: the stage-l quadrature reads the blue Phi and dPhi,
+    and Newton starts at blue stage l (``start`` "hierarchical"), the red
+    term or the source."""
+    m, d = tab.s - 1, p.dim
+    corr = [blue for _, blue in blocks if blue is not None]
+    out = np.empty((len(blocks), tab.s, 7, d))
+    out[:, 0] = [src for src, _ in blocks]
+    a, rhs = [dt] * (len(corr) * m), []
     with np.errstate(all="ignore"):
         if corr:
-            blue = [fs for _, (_, fs) in corr]
-            shape = len(corr), tab.s, p.dim
-            phis = np.array([f.phi for fs in blue for f in fs]).reshape(shape)
-            dphis = np.array([f.dphi for fs in blue for f in fs]).reshape(shape)
-            quad = quadrature(tab, list(range(1, tab.s)), dt, phis, dphis)
-            PI = np.array([[f.phi_i for f in fs[1:]] for fs in blue])
-            DPI = np.array([[f.dphi_i for f in fs[1:]] for fs in blue])
-            reds = np.array([red.w for red, _ in corr])[:, None]
-            rhs.append((reds - dt * PI + 0.5 * dt * dt * DPI
-                        + quad).reshape(-1, p.dim))
-            if start == "hierarchical":
-                starts = [(w, f) for _, (ws, fs) in corr for w, f in zip(ws[1:], fs[1:])]
-            else:
-                starts = [(red.w, red.f) for red, _ in corr for _ in range(m)]
-        if src is not None:
-            c = tab.c[1:] * dt
+            blue = np.array(corr)
+            # contiguous copies: matmul's bits depend on layout
+            quad = quadrature(tab, list(range(1, tab.s)), dt, blue[:, :, 5].copy(),
+                              blue[:, :, 6].copy())
+            rhs.append((out[:len(corr), :1, 0] - dt * blue[:, 1:, 2]
+                        + 0.5 * dt * dt * blue[:, 1:, 4] + quad).reshape(-1, d))
+        if len(corr) < len(blocks):
+            src, c = out[-1, 0], tab.c[1:] * dt
             a += c.tolist()
-            rhs.append(src.w + c[:, None] * src.f.phi_e
-                       + (0.5 * c * c)[:, None] * src.f.dphi_e)
-            starts += [(src.w, src.f)] * m
+            rhs.append(src[0] + c[:, None] * src[1] + (0.5 * c * c)[:, None] * src[3])
         rhs = np.concatenate(rhs)
         if stacked:
-            solved = _solve_stages(p, np.array(a), rhs, starts, ncfg)
+            starts = out[:, :1].repeat(m, 1)
+            if corr and start == "hierarchical":
+                starts[:len(corr)] = blue[:, 1:]
+            solved, results = _solve_stages(p, np.array(a), rhs, starts.reshape(-1, 7, d), ncfg)
+            out[:, 1:] = solved.reshape(len(blocks), m, 7, d)
         else:
-            at_start = [(None,)]
-            solved = [_solve_stage(p, a_i, rhs_i, StageSource(*s), ncfg, at_start)
-                      for a_i, rhs_i, s in zip(a, rhs, starts)]
-    outs = []
-    for b, (src, _) in enumerate(blocks):
-        ws, fs, results = zip(*solved[b * m:(b + 1) * m])
-        outs.append(([src.w, *ws], [src.f, *fs], [_copy_result(src.w), *results]))
-    return outs
+            (src, blue), at_start, results = blocks[0], [(None,)], []
+            for l in range(1, tab.s):
+                lane = blue[l] if blue is not None and start == "hierarchical" else src
+                out[0, l], res = _solve_stage(p, a[l - 1], rhs[l - 1], lane, ncfg, at_start)
+                results.append(res)
+    return [(out[b], [_copy_result(src[0]), *results[b * m:(b + 1) * m]])
+            for b, (src, _) in enumerate(blocks)]
 
 
 def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
-                    src: StageSource, ncfg: NewtonConfig):
-    """All predictor stages from one source; returns (states, bundles, results).
+                    src: Array, ncfg: NewtonConfig):
+    """All predictor stages from the source stage ``src``; returns (block, results).
 
     Stage l > 0 is an implicit second-order Taylor step: it solves
     w = w_src + c_l dt (Phi_I(w) + Phi_E(w_src))
@@ -376,9 +372,9 @@ def predictor_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
 
 
 def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
-                     red: StageSource, blue_w, blue_f, gauss_seidel: bool,
+                     red: Array, blue: Array, gauss_seidel: bool,
                      ncfg: NewtonConfig, start: str):
-    """One full correction sweep over the stages; returns (states, bundles, results).
+    """One full correction sweep over blue's stages; returns (block, results).
 
     Stage 0 copies the red term; stage l > 0 adds to it the implicit
     difference against blue stage l and the quadrature (``_jacobi_blocks``).
@@ -387,23 +383,19 @@ def correction_block(p: SplitProblem, tab: TwoDerivativeTableau, dt: float,
     l is blue stage l's until stage l is solved, then the fresh fluxes.
     """
     if not gauss_seidel:
-        return _jacobi_blocks(p, tab, dt, [(red, (blue_w, blue_f))], ncfg, start)[0]
-    phis = np.array([red.f.phi, *(f.phi for f in blue_f[1:])])
-    dphis = np.array([red.f.dphi, *(f.dphi for f in blue_f[1:])])
-    ws, fs, results = [red.w], [red.f], [_copy_result(red.w)]
-    at_start = [(None,)]
+        return _jacobi_blocks(p, tab, dt, [(red, blue)], ncfg, start)[0]
+    out = np.concatenate((red[None], blue[1:]))  # new: a received blue is read-only
+    phis, dphis = out[:, 5].copy(), out[:, 6].copy()
+    results, at_start = [_copy_result(red[0])], [(None,)]
     with np.errstate(all="ignore"):
-        base = (red.w - dt * np.array([f.phi_i for f in blue_f[1:]])
-                + 0.5 * dt * dt * np.array([f.dphi_i for f in blue_f[1:]]))
+        base = red[0] - dt * blue[1:, 2] + 0.5 * dt * dt * blue[1:, 4]
         for l in range(1, tab.s):
             rhs = base[l - 1] + quadrature(tab, l, dt, phis, dphis)
-            src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
-            w, f, res = _solve_stage(p, dt, rhs, src, ncfg, at_start)
-            phis[l], dphis[l] = f.phi, f.dphi
-            ws.append(w)
-            fs.append(f)
+            lane = blue[l] if start == "hierarchical" else red
+            out[l], res = _solve_stage(p, dt, rhs, lane, ncfg, at_start)
+            phis[l], dphis[l] = out[l, 5:]
             results.append(res)
-    return ws, fs, results
+    return out, results
 
 
 @dataclass
@@ -427,7 +419,8 @@ class Lane:
         if self.updates is not None:
             self.updates[n + 1] = last_w
         if self.steps is not None:
-            self.steps.append((iters, [r.residual_norm for r in results], last_w,
+            # a copy, so a trace does not keep the state's whole block alive
+            self.steps.append((iters, [r.residual_norm for r in results], last_w.copy(),
                                cap_hits))
 
 
@@ -445,36 +438,36 @@ _MIN_STACK = 4
 _CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
 
 
-def _reads_same(red_w: Array, blue_w, read) -> bool:
-    """Whether a correction block's red state and blue states hold the bits
-    of those another block ``read`` (its (red state, blue states, results))."""
-    return all(a is b or a.tobytes() == b.tobytes()
-               for a, b in zip((red_w, *blue_w), (read[0], *read[1])))
+def _reads_same(red: Array, blue: Array, read) -> bool:
+    """Whether a correction block's red term and blue block hold the state
+    bits of those another block ``read`` (its (red term, blue block, ...))."""
+    return (red[0].tobytes() == read[0][0].tobytes()
+            and (blue is read[1] or blue[:, 0].tobytes() == read[1][:, 0].tobytes()))
 
 
-def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
+def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: Array, iterates,
                receive=None, send=None, keep_traces: bool = False) -> list:
     """Compute Block(n, k) for every step n and every k in ``iterates``, one
     wavefront of the DAG at a time; return one Lane per iterate.
 
-    A block reads what ``dependencies`` names: the stages of Block(n, k-1)
-    (the blue input, k >= 1) and the last stage of its step n-1 source (the
-    red term, or the predictor's source for k = 0); ``seed`` stands in for
-    every block of step -1. Blocks of ``iterates`` are read from this loop's
-    own store, every other input through ``receive(block)``, which returns its
-    (states, bundles); of a step n-1 source only the last stage is read.
-    ``send(block, states, bundles)`` sees each block once its wavefront, the
-    blocks with 2n + k = t (n + k = t for LO), is done; a pipeline worker
-    meets one block per wavefront, in (n, k) order.
+    A block, one C-contiguous (s, 7, d) array of stages, reads what
+    ``dependencies`` names: Block(n, k-1) (the blue input, k >= 1) and the
+    last stage of its step n-1 source (the red term, or the predictor's source
+    for k = 0); the stage ``seed`` stands in for that at step -1. Blocks of
+    ``iterates`` are read from this loop's own store, every other input
+    through ``receive(block)``, which returns its array. ``send(block,
+    stages)`` sees each block once its wavefront, the blocks with 2n + k = t
+    (n + k = t for LO), is done; a pipeline worker meets one block per
+    wavefront, in (n, k) order.
 
-    A block's outputs are a pure function of its input states: every bundle
-    in the loop is ``eval_bundle`` of its own state (the ``_solve_stage``
-    contract), so the loop never has to look at bundles to know two inputs
+    A block's outputs are a pure function of its input states: a stage's
+    other rows are ``eval_stage``'s at its state (the ``_solve_stage``
+    contract), so the loop never has to look at them to know two inputs
     agree. Once the sweeps of a step sit at their fixed point, a correction
     Block(n, k) reads the state bits Block(n, k-1) read; when k-1 is a
-    correction this loop computes, the loop then hands out Block(n, k-1)'s
-    states, bundles and Newton results again instead of solving, which is
-    bitwise what the solve would give.
+    correction this loop computes, the loop then hands out Block(n, k-1) and
+    its Newton results again instead of solving, which is bitwise what the
+    solve would give.
 
     A wavefront's blocks left to solve run one by one, or, as Jacobi sweeps
     (Alg1, LO) of a problem with stacked callbacks holding ``_MIN_STACK`` or
@@ -493,10 +486,11 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
     lanes = {k: Lane(k, steps=[] if keep_traces else None) for k in iterates}
     if cfg.kmax in lanes:
         top = lanes[cfg.kmax].updates = np.empty((cfg.n_steps + 1, p.dim))
-        top[0] = seed.w
+        top[0] = seed[0]
     by_step = sorted(lanes, reverse=True)  # a wavefront's blocks, earliest step first
-    # k -> (states, bundles, what a correction read, its tally) of its latest
-    # block, all a wavefront reads of its own, as it reads all before it writes
+    # k -> (block, what a correction read, its results, its tally) of its
+    # latest block, all a wavefront reads of its own, as it reads all before
+    # it writes
     latest = {}
     for t in range(slope * (cfg.n_steps - 1) + cfg.kmax + 1):
         front = []  # (n, k, source or red term, blue input, outputs of a skip)
@@ -505,19 +499,16 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
             if off or not 0 <= n < cfg.n_steps:
                 continue
             j = back[k]
-            if n == 0:
-                src = seed
-            else:
-                ws, fs = latest[j][:2] if j in lanes else receive(Block(n - 1, j))
-                src = StageSource(ws[-1], fs[-1])
+            src = seed if n == 0 else (
+                latest[j][0] if j in lanes else receive(Block(n - 1, j)))[-1]
             blue = read = outputs = None
             if k:
                 if k - 1 in lanes:
-                    *blue, read = latest[k - 1]
+                    blue, read = latest[k - 1]
                 else:
                     blue = receive(Block(n, k - 1))
-                if read is not None and _reads_same(src.w, blue[0], read):
-                    outputs = *blue, *read[2:]
+                if read is not None and _reads_same(src, blue, read):
+                    outputs = blue, *read[2:]
             front.append((n, k, src, blue, outputs))
         todo = [b for b in front if b[4] is None]
         if stackable and len(todo) * (tab.s - 1) >= _MIN_STACK:
@@ -525,17 +516,17 @@ def run_blocks(p: SplitProblem, cfg: SolverConfig, seed: StageSource, iterates,
                                   cfg.corrector_start, stacked=True)
         else:
             outs = [predictor_block(p, tab, dt, src, cfg.newton) if blue is None
-                    else correction_block(p, tab, dt, src, *blue, gauss_seidel,
+                    else correction_block(p, tab, dt, src, blue, gauss_seidel,
                                           cfg.newton, cfg.corrector_start)
                     for _, _, src, blue, _ in todo]
         outs = iter(outs)
         for n, k, src, blue, outputs in front:
-            ws, fs, results, tally = outputs or (*next(outs), None)
+            block, results, tally = outputs or (*next(outs), None)
             tally = tally or _tally(results)
-            latest[k] = ws, fs, None if blue is None else (src.w, blue[0], results, tally)
+            latest[k] = block, None if blue is None else (src, blue, results, tally)
             if send is not None:
-                send(Block(n, k), ws, fs)
-            lanes[k].add(n, ws[-1], results, tally)
+                send(Block(n, k), block)
+            lanes[k].add(n, block[-1, 0], results, tally)
     return list(lanes.values())
 
 
@@ -592,7 +583,7 @@ def integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
     """
     if cfg.variant == "Limit":
         return limit_integrate(p, cfg, reference=reference, keep_traces=keep_traces)
-    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    seed = eval_stage(p, p.w0)
     t0 = time.perf_counter()
     lanes = run_blocks(p, cfg, seed, range(cfg.kmax + 1), keep_traces=keep_traces)
     return run_result(p, cfg, lanes, reference, time.perf_counter() - t0)
@@ -606,21 +597,21 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
         raise ValueError("limit_integrate requires variant='Limit'")
     tab = builtin(cfg.q)
     dt = p.t_end / cfg.n_steps
-    src = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    src = eval_stage(p, p.w0)
     lane = Lane(0, updates=np.empty((cfg.n_steps + 1, p.dim)),
                 steps=[] if keep_traces else None)
-    lane.updates[0] = src.w
+    lane.updates[0] = src[0]
     sweeps_per_step = []
 
     t0 = time.perf_counter()
     for n in range(cfg.n_steps):
-        ws, fs, solved = predictor_block(p, tab, dt, src, cfg.newton)
+        block, solved = predictor_block(p, tab, dt, src, cfg.newton)
         for sweep in range(1, cfg.limit_max_sweeps + 1):
-            new_ws, new_fs, results = correction_block(
-                p, tab, dt, src, ws, fs, True, cfg.newton, cfg.corrector_start)
+            new, results = correction_block(p, tab, dt, src, block, True, cfg.newton,
+                                            cfg.corrector_start)
             solved += results
-            delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new_ws, ws))
-            ws, fs = new_ws, new_fs
+            delta = float(np.max(np.abs(new[:, 0] - block[:, 0])))
+            block = new
             if delta <= cfg.limit_tol:
                 break
         else:
@@ -628,8 +619,8 @@ def limit_integrate(p: SplitProblem, cfg: SolverConfig, reference=None,
                 f"limit sweep at step {n} still changing by {delta:.3e} "
                 f"after {cfg.limit_max_sweeps} sweeps")
         sweeps_per_step.append(sweep)
-        lane.add(n, ws[-1], results, _tally(solved))
-        src = StageSource(ws[-1], fs[-1])
+        lane.add(n, block[-1, 0], results, _tally(solved))
+        src = block[-1]
     return run_result(p, cfg, [lane], reference, time.perf_counter() - t0,
                       sweeps=sweeps_per_step)
 

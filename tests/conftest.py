@@ -45,7 +45,7 @@ def computed_corrections(monkeypatch):
         return jacobi(p, tab, dt, blocks, *rest, **kwargs)
 
     def count_gauss_seidel(*args):
-        counts.append(int(args[6]))  # the gauss_seidel argument
+        counts.append(int(args[5]))  # the gauss_seidel argument
         return block(*args)
 
     monkeypatch.setattr(solver_mod, "correction_block", count_gauss_seidel)

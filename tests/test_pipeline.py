@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import hbpc.pipeline as pipeline
-from hbpc.core import NonFiniteError, SplitProblem, eval_bundle
+from hbpc.core import NonFiniteError, SplitProblem
 from hbpc.pipeline import (Block, DeadlockError, WorkerAssignment, _pack, _receive,
                            _unpack, dependencies, integrate_parallel, simulate_schedule)
 from hbpc.problems import scalar_pow, van_der_pol
-from hbpc.solver import (SolverConfig, StageSource, integrate, run_blocks,
-                         run_result)
+from hbpc.solver import SolverConfig, eval_stage, integrate, run_blocks, run_result
 
 
 def test_dependencies_predictor():
@@ -213,16 +212,17 @@ def test_parallel_matches_serial_bitwise_where_workers_skip(monkeypatch,
     p = scalar_pow()
     cfg = SolverConfig(variant="Alg1", q=8, kmax=9, n_steps=40,
                        newton=NewtonConfig(rel_tol=1e-13, abs_tol=1e-15))
-    seed = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    seed = eval_stage(p, p.w0)
     sent = {}
     run_blocks(p, cfg, seed, range(cfg.kmax + 1),
-               send=lambda b, ws, fs: sent.__setitem__(b, _pack(b, ws, fs)))
+               send=lambda b, stages: sent.__setitem__(b, _pack(b, stages)))
     serial = sum(computed_corrections)
     computed_corrections.clear()
 
     def receive(b):
-        msg = _unpack(sent[b], p.dim)
-        return msg.stages_w, msg.stages_f
+        n, k, stages = _unpack(sent[b], p.dim)
+        assert (n, k) == (b.n, b.k)
+        return stages
 
     proc = pipeline._placement(cfg.variant, cfg.kmax, 2)
     groups = [[k for k in range(cfg.kmax + 1) if proc[k] == c] for c in range(proc[-1] + 1)]
@@ -327,8 +327,8 @@ def test_starved_process_names_the_awaited_block(monkeypatch, variant, kmax, cpu
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
     pack = pipeline._pack
 
-    def mislabel(b, ws, fs):  # runs in the forked processes
-        return pack(Block(b.n + 100, b.k) if b == lost else b, ws, fs)
+    def mislabel(b, stages):  # runs in the forked processes
+        return pack(Block(b.n + 100, b.k) if b == lost else b, stages)
 
     monkeypatch.setattr(pipeline, "_pack", mislabel)
     t0 = time.monotonic()
@@ -342,9 +342,25 @@ def test_starved_process_names_the_awaited_block(monkeypatch, variant, kmax, cpu
 
 
 def _message(b: Block, dim: int = 1) -> bytes:
-    """Block b as ``_pack`` sends it, one stage at w = 0.5."""
-    w = np.full(dim, 0.5)
-    return _pack(b, [w], [eval_bundle(scalar_pow(), w)])
+    """Block b as ``_pack`` sends it: one stage, at w = n + k/10."""
+    return _pack(b, eval_stage(scalar_pow(), np.full(dim, b.n + b.k / 10))[None])
+
+
+def _block_of(stages) -> tuple:
+    """The (n, k) of the block whose stages ``_message`` sent."""
+    return divmod(round(10 * stages[-1, 0, 0]), 10)
+
+
+def test_a_block_in_flight_is_its_stage_arrays_bytes():
+    p = van_der_pol()
+    stages = np.stack([eval_stage(p, p.w0 * (1 + l / 10)) for l in range(3)])
+    buf = _pack(Block(7, 2), stages)
+    assert isinstance(buf, bytes) and len(buf) == 16 + stages.nbytes
+    n, k, got = _unpack(buf, p.dim)
+    assert (n, k) == (7, 2)
+    assert got.shape == (3, 7, p.dim) and got.dtype == np.float64
+    assert not got.flags.writeable
+    assert got.tobytes() == stages.tobytes()
 
 
 def test_receive_returns_a_queued_message_at_once():
@@ -359,10 +375,10 @@ def test_receive_returns_a_queued_message_at_once():
         inbox = {}
         # a timeout too short to wait at all: both messages are there already
         msg = _receive(conns, inbox, Block(3, 1), 1, 1e-9, "up0")
-        assert (msg.n, msg.k) == (3, 1) and msg.w_last.tolist() == [0.5]
-        assert [w.tolist() for w in msg.stages_w] == [[0.5]]
+        assert _block_of(msg) == (3, 1) and msg[-1, 0].tolist() == [3.1]
+        assert msg[:, 0].tolist() == [[3.1]]
         assert list(inbox) == [(3, 2)]  # filed on the way
-        assert _receive(conns, inbox, Block(3, 2), 1, 1e-9, "up0").k == 2
+        assert _block_of(_receive(conns, inbox, Block(3, 2), 1, 1e-9, "up0"))[1] == 2
         assert not inbox and not any(r.poll() for r in conns)
         for pair in ends:
             for conn in pair:
@@ -393,7 +409,7 @@ def test_receive_waits_past_eof_on_another_pipe():
     timer.start()
     msg = _receive([done_r, r], {}, Block(3, 1), 1, 10.0, "up0", (2, r))
     timer.join()
-    assert (msg.n, msg.k) == (3, 1)
+    assert _block_of(msg) == (3, 1)
     # a later receive from the ended partner still sees its end
     with pytest.raises(DeadlockError, match="process 1 ended without sending it"):
         _receive([done_r, r], {}, Block(3, 0), 1, 10.0, "up0", (1, done_r))
@@ -410,7 +426,7 @@ def test_receive_blocks_once_the_spin_budget_runs_out():
     msg = _receive([r], {}, Block(3, 1), 1, 10.0, "up0")
     elapsed, cpu = time.monotonic() - t0, time.process_time() - cpu0
     timer.join()
-    assert (msg.n, msg.k) == (3, 1)
+    assert _block_of(msg) == (3, 1)
     assert elapsed >= delay
     assert cpu < delay / 2  # it spun for the budget, then slept in poll
     r.close()

@@ -9,9 +9,12 @@ from hbpc.core import SplitProblem
 from hbpc.newton import NewtonConfig
 from hbpc.problems import BUILTIN, make, pareschi_russo, scalar_pow, van_der_pol
 from hbpc.solver import (CapExceededError, NoConvergenceError, RunResult,
-                         SolverConfig, StageSource, adaptive_kmax, integrate,
+                         SolverConfig, adaptive_kmax, eval_stage, integrate,
                          limit_integrate)
 from hbpc.tableaux import builtin
+
+# the rows of a (7, d) stage after its state, row 0
+FIELDS = ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi")
 
 
 def _constant_flux_problem(c=2.0, dim=1, t_end=1.0):
@@ -53,17 +56,16 @@ def test_predictor_stage_closed_form():
     # Pure implicit phi(w) = -w: predictor stage l solves
     # w (1 + a + a^2/2) = w_src with a = c_l dt.
     from hbpc.solver import predictor_block
-    from hbpc.core import eval_bundle
 
     p = _pure_implicit_decay()
     tab = builtin(4)
     dt = 0.125
-    src = StageSource(p.w0.copy(), eval_bundle(p, p.w0))
+    src = eval_stage(p, p.w0)
     ncfg = NewtonConfig(rel_tol=1e-14, abs_tol=1e-15)
-    ws, fs, results = predictor_block(p, tab, dt, src, ncfg)
+    block, results = predictor_block(p, tab, dt, src, ncfg)
     for l, c in enumerate(tab.c):
         a = c * dt
-        assert ws[l][0] == pytest.approx(1.0 / (1.0 + a + 0.5 * a * a),
+        assert block[l, 0, 0] == pytest.approx(1.0 / (1.0 + a + 0.5 * a * a),
                                          rel=1e-12)
     assert results[0].iters == 0  # stage 0 is a copy
 
@@ -256,16 +258,14 @@ def _counted(p):
 
 
 def _start(p, w):
-    from hbpc.core import eval_bundle
-
-    return StageSource(w, eval_bundle(p, w))
+    return eval_stage(p, w)
 
 
 def _predictor_stage(p, steps=200):
     """(a, rhs, start) of the last predictor stage of the first step."""
     a = p.t_end / steps
     start = _start(p, p.w0.copy())
-    return a, p.w0 + a * start.f.phi_e + 0.5 * a * a * start.f.dphi_e, start
+    return a, p.w0 + a * start[1] + 0.5 * a * a * start[3], start
 
 
 def _fd_problem():
@@ -291,7 +291,7 @@ def test_stage_solve_evaluates_each_newton_state_once(name, monkeypatch):
     a, rhs, start = _predictor_stage(make(name))
     p, calls = _counted(make(name))
     monkeypatch.setattr(solver_mod, "eval_bundle", no_bundle)
-    _, _, res = solver_mod._solve_stage(p, a, rhs, start, NewtonConfig())
+    _, res = solver_mod._solve_stage(p, a, rhs, start, NewtonConfig())
     assert res.iters >= 1
     assert calls == {"phi_e": res.iters, "phi_i": res.iters,
                      "jac_i": res.iters + 1, "jac_e": 1,
@@ -305,11 +305,11 @@ def test_stage_solve_converged_at_start_calls_nothing(name):
     p = _problem(name)
     a = p.t_end / 200
     start = _start(p, p.w0.copy())
-    rhs = start.w - a * start.f.phi_i + 0.5 * a * a * start.f.dphi_i
+    rhs = start[0] - a * start[2] + 0.5 * a * a * start[4]
     counted, calls = _counted(p)
-    w, f, res = _solve_stage(counted, a, rhs, start, NewtonConfig())
+    stage, res = _solve_stage(counted, a, rhs, start, NewtonConfig())
     assert res.iters == 0
-    assert w is start.w and f is start.f
+    assert stage is start
     assert calls == dict.fromkeys(_CALLBACKS, 0)
 
 
@@ -341,17 +341,17 @@ def test_warm_stage_solve_equals_cold_solve_bitwise(name):
 
     p = _problem(name)
     a, rhs, start = _predictor_stage(p)
-    cold_start = _start(p, start.w.copy())
+    cold_start = _start(p, start[0].copy())
     warm = _solve_stage(p, a, rhs, start, NewtonConfig())
     cold = _solve_stage(p, a, rhs, cold_start, NewtonConfig())
-    plain = _plain_newton(p, a, rhs, start.w)
-    assert warm[2].iters == cold[2].iters == plain.iters >= 1
-    assert warm[2].residual_history == cold[2].residual_history
-    assert warm[2].residual_history == plain.residual_history
-    for w in (cold[0], plain.w):
-        assert warm[0].tobytes() == w.tobytes()
-    for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
-        assert getattr(warm[1], field).tobytes() == getattr(cold[1], field).tobytes()
+    plain = _plain_newton(p, a, rhs, start[0])
+    assert warm[1].iters == cold[1].iters == plain.iters >= 1
+    assert warm[1].residual_history == cold[1].residual_history
+    assert warm[1].residual_history == plain.residual_history
+    for w in (cold[0][0], plain.w):
+        assert warm[0][0].tobytes() == w.tobytes()
+    for row, field in enumerate(FIELDS, 1):
+        assert warm[0][row].tobytes() == cold[0][row].tobytes(), field
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
@@ -361,11 +361,11 @@ def test_stage_solve_bundle_is_eval_bundle_bitwise(name):
 
     p = _problem(name)
     a, rhs, start = _predictor_stage(p)
-    w, f, res = _solve_stage(p, a, rhs, start, NewtonConfig())
+    stage, res = _solve_stage(p, a, rhs, start, NewtonConfig())
     assert res.iters >= 1
-    ref = eval_bundle(p, w)
-    for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
-        assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), field
+    ref = eval_bundle(p, stage[0])
+    for row, field in enumerate(FIELDS, 1):
+        assert stage[row].tobytes() == getattr(ref, field).tobytes(), field
 
 
 def test_stage_solve_bundle_follows_the_returned_state(monkeypatch):
@@ -384,9 +384,9 @@ def test_stage_solve_bundle_follows_the_returned_state(monkeypatch):
 
     monkeypatch.setattr(newton_mod, "solve", moved)
     p = make("arenstorf")
-    w, f, res = _solve_stage(p, *_predictor_stage(p), NewtonConfig())
-    assert w is res.w
-    assert f.dphi.tobytes() == eval_bundle(p, w).dphi.tobytes()
+    stage, res = _solve_stage(p, *_predictor_stage(p), NewtonConfig())
+    assert stage[0].tobytes() == res.w.tobytes()
+    assert stage[6].tobytes() == eval_bundle(p, res.w).dphi.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["phi_e", "jac_e"])
@@ -425,7 +425,7 @@ def _linear_with(dim, jac_i, dphi_i_jac=None, phi_e=None, jac_e=None):
 def _off_start(p, a, offset):
     """(a, rhs, start) of a stage solve from w0 whose residual there is ``offset``."""
     start = _start(p, p.w0.copy())
-    return a, start.w - a * start.f.phi_i + 0.5 * a * a * start.f.dphi_i - offset, start
+    return a, start[0] - a * start[2] + 0.5 * a * a * start[4] - offset, start
 
 
 def test_stage_solve_newton_matrix_whose_sum_overflows_passes():
@@ -435,9 +435,9 @@ def test_stage_solve_newton_matrix_whose_sum_overflows_passes():
     p = _linear_with(3, -np.eye(3), dphi_i_jac=np.diag([1.7e308] * 3))
     a, rhs, start = _off_start(p, 1.0, 1e-3)
     with np.errstate(all="ignore"):
-        w, f, res = _solve_stage(p, a, rhs, start, NewtonConfig(max_iter=2))
+        stage, res = _solve_stage(p, a, rhs, start, NewtonConfig(max_iter=2))
     assert res.iters == 2 and res.converged_by == "iter_cap"
-    assert np.isfinite(w).all() and np.isfinite(f.dphi).all()
+    assert np.isfinite(stage[0]).all() and np.isfinite(stage[6]).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -458,10 +458,10 @@ def test_stage_solve_bundle_whose_sum_overflows_passes():
 
     p = _linear_with(1, [[1.0]], phi_e=lambda w: np.array([1e308]))
     with np.errstate(all="ignore"):
-        w, f, res = _solve_stage(p, *_off_start(p, 1e-154, 1e-3), NewtonConfig())
-        assert (f.phi + f.dphi).sum() == np.inf
+        stage, res = _solve_stage(p, *_off_start(p, 1e-154, 1e-3), NewtonConfig())
+        assert (stage[5] + stage[6]).sum() == np.inf  # phi + dphi
     assert res.iters >= 1
-    assert np.isfinite([f.phi_e, f.phi_i, f.dphi_e, f.dphi_i]).all()
+    assert np.isfinite(stage[1:5]).all()  # phi_e, phi_i, dphi_e, dphi_i
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -490,46 +490,44 @@ def test_stages_from_one_start_state_linearize_there_once(name):
     src = _start(p, p.w0.copy())
     at_src = []
 
-    def spy(cb):
+    def spy(cb):  # a view of the source's state row is the source state
         fn = getattr(p, cb)
-        return lambda w: (w is src.w and at_src.append(cb)) or fn(w)
+        return lambda w: (np.shares_memory(w, src) and at_src.append(cb)) or fn(w)
 
     tab, dt, ncfg = builtin(8), p.t_end / 50, NewtonConfig()
     spied = replace(p, jac_i=spy("jac_i"), dphi_i_jac=spy("dphi_i_jac"))
-    ws, fs, results = predictor_block(spied, tab, dt, src, ncfg)
+    block, results = predictor_block(spied, tab, dt, src, ncfg)
     assert all(r.iters >= 1 for r in results[1:])
     assert sorted(at_src) == ["dphi_i_jac", "jac_i"]
     c = tab.c[1:] * dt
-    rhs = src.w + c[:, None] * src.f.phi_e + (0.5 * c * c)[:, None] * src.f.dphi_e
+    rhs = src[0] + c[:, None] * src[1] + (0.5 * c * c)[:, None] * src[3]
     for l in range(1, tab.s):
         with np.errstate(all="ignore"):
-            w, f, res = _solve_stage(p, c[l - 1], rhs[l - 1], src, ncfg)
-        assert ws[l].tobytes() == w.tobytes()
-        assert fs[l].dphi.tobytes() == f.dphi.tobytes()
+            stage, res = _solve_stage(p, c[l - 1], rhs[l - 1], src, ncfg)
+        assert block[l, 0].tobytes() == stage[0].tobytes()
+        assert block[l, 6].tobytes() == stage[6].tobytes()
         assert results[l].residual_history == res.residual_history
 
 
-def _sweep_restacking_per_stage(p, tab, dt, red, blue_w, blue_f, gauss_seidel,
-                                start):
+def _sweep_restacking_per_stage(p, tab, dt, red, blue, gauss_seidel, start):
     """A correction sweep that stacks the quadrature's fluxes afresh for
-    every stage from ``fs[:l] + blue_f[l:]``: the reference for the one
-    stack per sweep that ``correction_block`` updates row by row."""
+    every stage from ``stages[:l] + blue[l:]``: the reference for the one
+    stack per sweep that ``correction_block`` updates row by row; returns
+    the list of stages and the residual histories."""
     from hbpc.solver import _solve_stage
     from hbpc.tableaux import quadrature
 
-    ws, fs, histories = [red.w], [red.f], [[]]
+    stages, histories = [red], [[]]
     for l in range(1, tab.s):
-        quad_f = fs[:l] + list(blue_f[l:]) if gauss_seidel else blue_f
-        i_l = quadrature(tab, l, dt, [b.phi for b in quad_f],
-                         [b.dphi for b in quad_f])
-        rhs = red.w - dt * blue_f[l].phi_i + 0.5 * dt * dt * blue_f[l].dphi_i + i_l
-        src = StageSource(blue_w[l], blue_f[l]) if start == "hierarchical" else red
+        quad_f = stages[:l] + list(blue[l:]) if gauss_seidel else list(blue)
+        i_l = quadrature(tab, l, dt, [b[5] for b in quad_f], [b[6] for b in quad_f])
+        rhs = red[0] - dt * blue[l, 2] + 0.5 * dt * dt * blue[l, 4] + i_l
+        src = blue[l] if start == "hierarchical" else red
         with np.errstate(all="ignore"):
-            w, f, res = _solve_stage(p, dt, rhs, src, NewtonConfig())
-        ws.append(w)
-        fs.append(f)
+            stage, res = _solve_stage(p, dt, rhs, src, NewtonConfig())
+        stages.append(stage)
         histories.append(res.residual_history)
-    return ws, fs, histories
+    return stages, histories
 
 
 @pytest.mark.parametrize("gauss_seidel", [True, False], ids=["gauss_seidel", "jacobi"])
@@ -543,21 +541,20 @@ def test_correction_sweep_equals_restacking_per_stage_bitwise(name, start,
     tab = builtin(8)
     dt = p.t_end / 40
     src = _start(p, p.w0.copy())
-    blue_w, blue_f, _ = predictor_block(p, tab, dt, src, NewtonConfig())
+    blue, _ = predictor_block(p, tab, dt, src, NewtonConfig())
     for _ in range(2):  # the second sweep starts from corrected stages
-        ws, fs, results = correction_block(p, tab, dt, src, blue_w, blue_f,
-                                           gauss_seidel, NewtonConfig(), start)
-        ref_ws, ref_fs, ref_hist = _sweep_restacking_per_stage(
-            p, tab, dt, src, blue_w, blue_f, gauss_seidel, start)
+        block, results = correction_block(p, tab, dt, src, blue, gauss_seidel,
+                                          NewtonConfig(), start)
+        ref, ref_hist = _sweep_restacking_per_stage(p, tab, dt, src, blue, gauss_seidel,
+                                                    start)
         assert sum(r.iters for r in results) >= 1
         for l in range(tab.s):
-            assert ws[l].tobytes() == ref_ws[l].tobytes()
-            for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
-                assert (getattr(fs[l], field).tobytes()
-                        == getattr(ref_fs[l], field).tobytes()), field
+            assert block[l, 0].tobytes() == ref[l][0].tobytes()
+            for row, field in enumerate(FIELDS, 1):
+                assert block[l, row].tobytes() == ref[l][row].tobytes(), field
             if l:
                 assert results[l].residual_history == ref_hist[l]
-        blue_w, blue_f = ws, fs
+        blue = block
 
 
 @pytest.mark.parametrize("start", ["hierarchical", "red"])
@@ -572,20 +569,17 @@ def test_gauss_seidel_quadrature_row_zero_is_the_red_term(name, start):
     p = make(name)
     tab = builtin(8)
     dt = p.t_end / 40
-    blue_w, blue_f, _ = predictor_block(p, tab, dt, _start(p, p.w0.copy()), NewtonConfig())
-    red = StageSource(blue_w[-1], blue_f[-1])
-    assert red.f.phi.tobytes() != blue_f[0].phi.tobytes()
-    ws, fs, results = correction_block(p, tab, dt, red, blue_w, blue_f, True,
-                                       NewtonConfig(), start)
-    ref_ws, ref_fs, ref_hist = _sweep_restacking_per_stage(
-        p, tab, dt, red, blue_w, blue_f, True, start)
+    blue, _ = predictor_block(p, tab, dt, _start(p, p.w0.copy()), NewtonConfig())
+    red = blue[-1]
+    assert red[5].tobytes() != blue[0, 5].tobytes()  # Phi
+    block, results = correction_block(p, tab, dt, red, blue, True, NewtonConfig(), start)
+    ref, ref_hist = _sweep_restacking_per_stage(p, tab, dt, red, blue, True, start)
     for l in range(1, tab.s):
-        assert ws[l].tobytes() == ref_ws[l].tobytes()
-        assert fs[l].dphi.tobytes() == ref_fs[l].dphi.tobytes()
+        assert block[l, 0].tobytes() == ref[l][0].tobytes()
+        assert block[l, 6].tobytes() == ref[l][6].tobytes()
         assert results[l].residual_history == ref_hist[l]
-    jacobi_ws = _sweep_restacking_per_stage(p, tab, dt, red, blue_w, blue_f, False,
-                                            start)[0]
-    assert ws[1].tobytes() != jacobi_ws[1].tobytes()
+    jacobi = _sweep_restacking_per_stage(p, tab, dt, red, blue, False, start)[0]
+    assert block[1, 0].tobytes() != jacobi[1][0].tobytes()
 
 
 # -- the fixed-point skip in run_blocks -----------------------------------------
@@ -600,7 +594,8 @@ _DIGEST_STEPS = {"scalar_pow": 20, "pareschi_russo": 40, "van_der_pol": 20,
 @pytest.mark.parametrize("name", sorted(BUILTIN) + ["fd"])
 def test_every_block_bundle_is_eval_bundle_of_its_state(name, variant, start):
     # The skip rests on this: a block's outputs depend on its input states
-    # alone, because every bundle the loop hands on is eval_bundle's.
+    # alone, because rows 1-6 of every stage the loop hands on are
+    # eval_bundle's at its state. Every block is one (s, 7, d) array.
     from hbpc.core import eval_bundle
     from hbpc.solver import run_blocks
 
@@ -610,13 +605,14 @@ def test_every_block_bundle_is_eval_bundle_of_its_state(name, variant, start):
     cfg = SolverConfig(variant=variant, q=8, kmax=5, n_steps=3, corrector_start=start)
     seen = []
 
-    def send(block, ws, fs):
+    def send(block, stages):
         seen.append(block)
-        for w, f in zip(ws, fs):
-            ref = eval_bundle(p, w)
-            for field in ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi"):
-                assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), \
-                    (block, field)
+        assert stages.shape == (4, 7, p.dim) and stages.dtype == np.float64
+        assert stages.flags.c_contiguous
+        for stage in stages:
+            ref = eval_bundle(p, stage[0])
+            for row, field in enumerate(FIELDS, 1):
+                assert stage[row].tobytes() == getattr(ref, field).tobytes(), (block, field)
 
     run_blocks(p, cfg, _start(p, p.w0.copy()), range(cfg.kmax + 1), send=send)
     assert len(seen) == cfg.n_steps * (cfg.kmax + 1)
@@ -625,12 +621,18 @@ def test_every_block_bundle_is_eval_bundle_of_its_state(name, variant, start):
 def test_reads_same_compares_the_state_bits():
     from hbpc.solver import _reads_same
 
-    red, blue = np.ones(1), [np.ones(1), np.zeros(1)]
+    # a red term stage and a two-stage blue block; only the state rows count
+    red, blue = np.ones((7, 1)), np.stack([np.ones((7, 1)), np.zeros((7, 1))])
     read = (red, blue, None)
-    assert _reads_same(red, list(blue), read)
-    assert _reads_same(red.copy(), [b.copy() for b in blue], read)
+    assert _reads_same(red, blue, read)
+    assert _reads_same(red.copy(), blue.copy(), read)
     assert not _reads_same(np.nextafter(red, 2.0), blue, read)
-    assert not _reads_same(red, [blue[0], -blue[1]], read)  # -0.0: equal, not the bits
+    negated = blue.copy()
+    negated[1, 0] = -negated[1, 0]
+    assert not _reads_same(red, negated, read)  # -0.0: equal, not the bits
+    fluxes = blue.copy()
+    fluxes[:, 1:] = 2.0
+    assert _reads_same(red, fluxes, read)
 
 
 def _skip_cases():

@@ -1,7 +1,7 @@
 """The stacked stage solve: a wavefront's stage systems solved as one stack.
 
 ``solver._solve_stages`` must give every lane bitwise what ``_solve_stage``
-gives it alone (state, bundle, every ``NewtonResult`` field) and raise the
+gives it alone (its (7, d) stage, every ``NewtonResult`` field) and raise the
 error of the first failing lane; ``run_blocks`` must give the same run
 whether a wavefront takes the stacked or the per-block path.
 """
@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbpc.core import FluxBundle, NonFiniteError, SplitProblem, eval_bundle
+from hbpc.core import FluxBundle, NonFiniteError, SplitProblem
 from hbpc.newton import NewtonConfig, SingularJacobianError
 from hbpc.problems import BUILTIN, make
-from hbpc.solver import SolverConfig, StageSource, _solve_stage, _solve_stages, integrate
+from hbpc.solver import SolverConfig, _solve_stage, _solve_stages, eval_stage, integrate
 
+# the rows of a (7, d) stage after its state, row 0
 FIELDS = ("phi_e", "phi_i", "dphi_e", "dphi_i", "phi", "dphi")
 CALLBACKS = ("phi_e", "phi_i", "jac_e", "jac_i", "dphi_i_jac")
 
@@ -29,16 +30,17 @@ def _per_lane(p, a, rhs, starts, ncfg):
     with np.errstate(all="ignore"):
         for i, start in enumerate(starts):
             try:
-                outs.append(_solve_stage(p, a[i], rhs[i], StageSource(*start), ncfg))
+                outs.append(_solve_stage(p, a[i], rhs[i], start, ncfg))
             except Exception as exc:  # noqa: BLE001 - compared below
                 return outs, exc
     return outs, None
 
 
 def _stacked(p, a, rhs, starts, ncfg):
+    """``_solve_stages`` on the lanes' starts stacked into one (B, 7, d) array."""
     with np.errstate(all="ignore"):
         return _solve_stages(p, np.asarray(a, dtype=float), np.asarray(rhs, dtype=float),
-                             starts, ncfg)
+                             np.array(starts), ncfg)
 
 
 def _assert_parity(p, a, rhs, starts, ncfg=NewtonConfig()):
@@ -50,30 +52,31 @@ def _assert_parity(p, a, rhs, starts, ncfg=NewtonConfig()):
             _stacked(p, a, rhs, starts, ncfg)
         assert str(info.value) == str(exc)
         return None
-    got = _stacked(p, a, rhs, starts, ncfg)
-    assert len(got) == len(ref)
-    for (w, f, res), (rw, rf, rres), (sw, sf) in zip(got, ref, starts):
-        assert w.tobytes() == rw.tobytes()
-        assert (w is sw, f is sf) == (rw is sw, rf is sf)
-        for field in FIELDS:
-            assert getattr(f, field).tobytes() == getattr(rf, field).tobytes(), field
-        assert res.w is w
+    stages, results = _stacked(p, a, rhs, starts, ncfg)
+    assert stages.shape == (len(ref),) + starts[0].shape and len(results) == len(ref)
+    for stage, res, (rstage, rres), start in zip(stages, results, ref, starts):
+        assert stage[0].tobytes() == rstage[0].tobytes()
+        # stacked lanes are rows of a new array: where a lane alone returns
+        # its start itself, its stacked row holds the start's bits
+        assert stage.tobytes() == rstage.tobytes()
+        assert rstage is not start or stage.tobytes() == start.tobytes()
+        for row, field in enumerate(FIELDS, 1):
+            assert stage[row].tobytes() == rstage[row].tobytes(), field
+        assert res.w.tobytes() == stage[0].tobytes()
         assert (res.iters, res.residual_norm, res.converged_by) == \
             (rres.iters, rres.residual_norm, rres.converged_by)
         assert res.residual_history == rres.residual_history
         assert res.damping_history == rres.damping_history
-    return [res for _, _, res in ref]
+    return [res for _, res in ref]
 
 
 def _start(p, w):
-    w = np.asarray(w, dtype=float)
-    return w, eval_bundle(p, w)
+    return eval_stage(p, np.asarray(w, dtype=float))
 
 
 def _at_start_rhs(a, start):
     """The rhs whose residual at ``start`` is exactly zero."""
-    w, f = start
-    return w - a * f.phi_i + 0.5 * a * a * f.dphi_i
+    return start[0] - a * start[2] + 0.5 * a * a * start[4]
 
 
 # (start, a, rhs or its offset from the rhs that holds at the start) per
@@ -189,7 +192,7 @@ def _linear(dim, jac_i, dphi_i_jac=None, phi_e=None, jac_e=None):
 
 def _error_lane(kind):
     """(problem, a, rhs, start) of one lane that fails in ``_solve_stage``;
-    every bundle in it is the unbroken problem's."""
+    every start's fluxes are the unbroken problem's."""
     if kind == "nan_start":
         p = _problem("scalar_pow")
         start = _start(p, [1.0])
@@ -198,19 +201,20 @@ def _error_lane(kind):
         p = _problem("scalar_pow")
         start = _start(p, [1.0])
         return p, 0.01, np.array([-5.0]), start
-    if kind == "jacobian":  # a start whose bundle is finite but whose Phi_I' is not
+    if kind == "jacobian":  # a start whose fluxes are finite but whose Phi_I' is not
         p = _problem("scalar_pow")
-        return p, 0.01, np.array([0.5]), (np.array([0.0]), eval_bundle(p, np.ones(1)))
+        start = _start(p, [1.0])
+        start[0] = 0.0
+        return p, 0.01, np.array([0.5]), start
     if kind == "pivot_d1":  # 1 - a * 2 = 0
         p = _linear(1, [[2.0]])
         return p, 0.5, np.array([3.0]), _start(p, [1.0])
     if kind == "pivot_d2":  # I - a diag(2, 1) has a zero pivot
         p = _linear(2, [[2.0, 0.0], [0.0, 1.0]])
         return p, 0.5, np.array([3.0, 1.0]), _start(p, [1.0, 1.0])
-    if kind == "bundle":  # dPhi_E is evaluated for the converged bundle only
+    if kind == "bundle":  # dPhi_E is evaluated for the converged stage only
         p = _linear(1, [[-1.0]], jac_e=[[np.nan]])
-        return p, 0.1, np.array([0.5]), (np.ones(1), eval_bundle(_linear(1, [[-1.0]]),
-                                                                  np.ones(1)))
+        return p, 0.1, np.array([0.5]), _start(_linear(1, [[-1.0]]), [1.0])
     raise ValueError(kind)
 
 
@@ -416,10 +420,12 @@ def test_finite_entries_whose_sum_overflows_pass(kind, fallbacks):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_handed_in_sums_give_the_bundle_its_parts_give(name):
+    # the Phi and dPhi rows of a solved or evaluated stage are the sums a
+    # FluxBundle forms from the four parts
     p = _problem(name)
-    bundles = [f for _, f, _ in _stacked(p, *_lanes(p, _LANES[name]), NewtonConfig())]
-    bundles.append(eval_bundle(p, p.w0))
-    for f in bundles:
-        ref = FluxBundle(phi_e=f.phi_e, phi_i=f.phi_i, dphi_e=f.dphi_e, dphi_i=f.dphi_i)
-        for field in FIELDS:
-            assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), field
+    stages = list(_stacked(p, *_lanes(p, _LANES[name]), NewtonConfig())[0])
+    stages.append(eval_stage(p, p.w0))
+    for stage in stages:
+        ref = FluxBundle(phi_e=stage[1], phi_i=stage[2], dphi_e=stage[3], dphi_i=stage[4])
+        for row, field in enumerate(FIELDS, 1):
+            assert stage[row].tobytes() == getattr(ref, field).tobytes(), field
