@@ -20,9 +20,12 @@ Cases, each the config of a ``perfbench`` workload:
   kmax=9, Newton rel 1e-13 / abs 1e-15, at N=640, the study's largest N;
 - ``pipeline``: ``integrate_parallel`` of Pareschi-Russo (eps=1), Alg1 q=8
   kmax=3, N=240;
-- ``p0``, ``p1``: on that config, ``run_blocks`` over the iterates of
-  ``integrate_parallel``'s process 0 or 1 on two CPUs, every other block
-  received from a serial run recorded beforehand
+- ``limit``: ``limit_integrate`` of van der Pol (eps=1e-3), Limit q=6,
+  N=160, about 61 sweeps per step (``perfbench``'s ``stiff_limit``, which
+  ``BENCHMARK.json`` does not list);
+- ``p0``, ``p1``: on ``pipeline``'s config, ``run_blocks`` over the
+  iterates of ``integrate_parallel``'s process 0 or 1 on two CPUs, every
+  other block received from a serial run recorded beforehand
   (``co_runner_cost.recorded_inputs``): the work of one pipeline process
   with no wait in it.
 
@@ -49,7 +52,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from co_runner_cost import recorded_inputs  # noqa: E402
 
-CASES = ("orbit", "study", "pipeline", "p0", "p1")
+CASES = ("orbit", "study", "limit", "pipeline", "p0", "p1")
 
 
 def load(src: str, name: str):
@@ -92,6 +95,10 @@ def build(case: str, name: str):
         cfg = solver.SolverConfig(variant="Alg1", q=8, kmax=9, n_steps=640,
                                   newton=newton.NewtonConfig(rel_tol=1e-13, abs_tol=1e-15))
         return lambda: _run_fingerprint(solver.integrate(p, cfg))
+    if case == "limit":
+        p = problems.make("van_der_pol", eps=1e-3)
+        cfg = solver.SolverConfig(variant="Limit", q=6, kmax=1, n_steps=160)
+        return lambda: _run_fingerprint(solver.limit_integrate(p, cfg))
     (p, cfg, seed, blocks), groups = recorded_inputs(name)
     if case == "pipeline":
         workers = pipeline.WorkerAssignment("Alg1", 3).n_workers

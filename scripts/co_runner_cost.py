@@ -43,18 +43,16 @@ PARTNERS = ("sleeping", "spinning", "computing")
 def recorded_inputs(package: str = "hbpc"):
     """(problem, config, seed, {(n, k): block}) of a serial run, and the
     iterates of each process on two CPUs, from the imported hbpc tree named
-    ``package``. A block is recorded as that tree's ``run_blocks`` sends and
-    receives it: its (s, 7, d) stage array, or, in a tree older than that
-    form, its (states, bundles)."""
-    core, pipeline, problems, solver = (importlib.import_module(f"{package}.{m}")
-                                        for m in ("core", "pipeline", "problems", "solver"))
+    ``package``. A block is recorded as ``run_blocks`` sends it: its
+    (s, 7, d) stage array."""
+    pipeline, problems, solver = (importlib.import_module(f"{package}.{m}")
+                                  for m in ("pipeline", "problems", "solver"))
     p = problems.make("pareschi_russo", eps=1.0)
     cfg = solver.SolverConfig(variant="Alg1", q=8, kmax=3, n_steps=240)
-    seed = (solver.eval_stage(p, p.w0) if hasattr(solver, "eval_stage")
-            else solver.StageSource(p.w0.copy(), core.eval_bundle(p, p.w0)))
+    seed = solver.eval_stage(p, p.w0)
     blocks = {}
-    solver.run_blocks(p, cfg, seed, range(cfg.kmax + 1), send=lambda b, *block: (
-        blocks.__setitem__((b.n, b.k), block[0] if len(block) == 1 else block)))
+    solver.run_blocks(p, cfg, seed, range(cfg.kmax + 1),
+                      send=lambda b, stages: blocks.__setitem__((b.n, b.k), stages))
     proc = pipeline._placement(cfg.variant, cfg.kmax, 2)
     groups = [[k for k in range(cfg.kmax + 1) if proc[k] == c] for c in (0, 1)]
     return (p, cfg, seed, blocks), groups

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import sys
-import threading
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -217,10 +215,8 @@ def _study_row(p: SplitProblem, cfg: StudyConfig, n: int, reference: Array) -> C
 def _study_groups(cfg: StudyConfig) -> list:
     """cfg.n_values in groups, the largest N first to the least-loaded group (cost
     N); one group if the pipeline takes the CPUs, the wallclock is data, or the
-    caller runs other threads (a fork copies their locks) or is daemonic."""
-    mp = sys.modules.get("multiprocessing")
-    if (cfg.parallel or cfg.timing or threading.active_count() > 1
-            or mp and mp.current_process().daemon):
+    caller may not fork (``pipeline._may_fork``)."""
+    if cfg.parallel or cfg.timing or not _pipeline._may_fork():
         return [cfg.n_values]
     groups = [[] for _ in range(min(len(cfg.n_values), _pipeline._usable_cpus()))]
     for n in sorted(cfg.n_values, reverse=True):

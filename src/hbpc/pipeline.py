@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 import os
 import select
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -159,6 +161,14 @@ def simulate_schedule(variant: str, kmax: int, N: int) -> int:
 def _usable_cpus() -> int:
     """CPUs this process may run on, the cap on the pipeline's process count."""
     return len(os.sched_getaffinity(0))
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork: not if it is daemonic, which may not
+    have children, nor while another of its threads runs, whose locks a fork
+    would copy held."""
+    mp = sys.modules.get("multiprocessing")
+    return threading.active_count() == 1 and not (mp and mp.current_process().daemon)
 
 
 def _placement(variant: str, kmax: int, cpus: int) -> list:
@@ -291,8 +301,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     ``channel_log``, if supplied as a dict, is filled with the sequence of
     step indices handed over each logical channel, whether or not the hand-off
     crossed a process (for discipline checks). The caller runs process 0 and
-    forks the others (``fork_join``), so call it while no other thread of the
-    caller is running; at one usable CPU it forks nothing.
+    forks the others (``fork_join``); at one usable CPU, or where it may not
+    fork (``_may_fork``), it runs every iterate itself.
     """
     from multiprocessing import Pipe
 
@@ -306,7 +316,8 @@ def integrate_parallel(p: SplitProblem, cfg: SolverConfig, workers: int | None =
     if workers is not None and workers != P:
         raise ValueError(f"variant {cfg.variant} with kmax={cfg.kmax} "
                          f"requires exactly {P} workers, got {workers}")
-    proc = _placement(cfg.variant, cfg.kmax, _usable_cpus())  # iterate -> its process
+    cpus = _usable_cpus() if _may_fork() else 1
+    proc = _placement(cfg.variant, cfg.kmax, cpus)  # iterate -> its process
 
     # readers[k][j]: iterate j reads Block(n, k) from another iterate, as its
     # blue input (True) or as a step n+1 source (False), over a logical

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,18 +39,6 @@ def _constant_stack(mat):
         return view
 
     return stack
-
-
-def _second(g):
-    """(B, 2) stack of the vectors (0, g)."""
-    return np.stack([np.zeros(len(g)), g], axis=1)
-
-
-def _second_row(x, y):
-    """(B, 2, 2) stack of the matrices [[0, 0], [x, y]]."""
-    out = np.zeros((len(x), 2, 2))
-    out[:, 1, 0], out[:, 1, 1] = x, y
-    return out
 
 
 def _pow_rows(x, e):
@@ -112,37 +101,82 @@ def scalar_pow(alpha: float = 0.2) -> SplitProblem:
                         dphi_i_jac=dphi_i_jac, name="scalar_pow")
 
 
+# the namespaces besides ``math`` that a formula f(w1, w2, m) of two entries
+# runs in: numpy float64 scalars (libm ``pow`` as ``**`` takes it), and (B,)
+# columns of a stack
+_SCALARS = SimpleNamespace(sin=np.sin, cos=np.cos, pow=pow)
+_COLUMNS = SimpleNamespace(sin=np.sin, cos=np.cos, pow=_pow_rows)
+
+
 def _on_floats(fn, w):
-    """``fn(w1, w2, math)`` on the two entries of ``w`` as Python floats,
-    read once. Where ``math`` raises (sin or cos of +-inf) ``fn`` runs again
-    on numpy float64 scalars with ``numpy``, whose NaN the solver's
-    finiteness checks turn into NonFiniteError."""
-    w1, w2 = w.tolist()
+    """``fn(w1, w2, math)`` on the first two entries of ``w`` as Python floats,
+    read once: the IEEE operations float64 scalars would make, in the same
+    order, with libm ``pow`` for ``**``, so their bits. Where Python raises
+    instead of returning IEEE inf or NaN (sin or cos of +-inf, a ``**`` that
+    overflows, a division by zero), ``fn`` runs again on numpy float64 scalars
+    (``_SCALARS``), whose inf and NaN the solver's finiteness checks turn into
+    NonFiniteError."""
+    vals = w.tolist()
     try:
-        return fn(w1, w2, math)
-    except ValueError:
-        return fn(w[0], w[1], np)
+        return fn(vals[0], vals[1], math)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return fn(w[0], w[1], _SCALARS)
+
+
+def _on_float_rows(fn, W):
+    """(B, m) array of ``_on_floats(fn, w)`` over the rows w of ``W``."""
+    return np.array([_on_floats(fn, w) for w in W])
+
+
+def _second_row(row):
+    """Callback w -> [[0, 0], row(w1, w2, m)] on ``_on_floats``, with its
+    stacked form on columns."""
+    def matrix(w):
+        a, b = _on_floats(row, w)
+        return np.array([0.0, 0.0, a, b]).reshape(2, 2)
+
+    def stack(W):
+        out = np.zeros((len(W), 2, 2))
+        out[:, 1, 0], out[:, 1, 1] = row(W[:, 0], W[:, 1], _COLUMNS)
+        return out
+
+    matrix.stack = stack
+    return matrix
+
+
+def _implicit_second_entry(g, dg, dh):
+    """(phi_i, jac_i, dphi_i_jac) of a two-entry problem whose implicit flux
+    is (0, g), with ``dg`` and ``dh`` the second rows of Phi_I' and of the
+    Jacobian of Phi_I' Phi. Each is a formula f(w1, w2, m) over ``m.sin``,
+    ``m.cos`` and ``m.pow``, computed per state on Python floats
+    (``_on_floats``) and stacked on columns (``_COLUMNS``); both give float64
+    scalars' bits, so at a finite state each stacked row is bitwise its
+    state's result."""
+    def phi_i(w):
+        return np.array([0.0, _on_floats(g, w)])
+
+    phi_i.stack = lambda W: np.stack([np.zeros(len(W)), g(W[:, 0], W[:, 1], _COLUMNS)], axis=1)
+    return phi_i, _second_row(dg), _second_row(dh)
 
 
 def pareschi_russo(eps: float = 1.0) -> SplitProblem:
     """Oscillator w1' = -w2, w2' = w1 + (sin(w1) - w2)/eps, w0 = (pi/2, 1),
     horizon 5; the relaxation term is implicit, the rotation explicit.
 
-    The callbacks that take sin or cos compute on Python floats
-    (``_on_floats``), as ``arenstorf``'s do: the expressions numpy float64
-    scalars would evaluate, in the same order, and ``math.sin``/``math.cos``
-    give ``np.sin``/``np.cos``'s bits here, so each result is bitwise the
-    stacked form's row (``tests/test_problems.py`` checks both on draws).
-    ``jac_e`` returns one shared read-only matrix.
+    ``math.sin``/``math.cos`` give ``np.sin``/``np.cos``'s bits here, so the
+    per-state callbacks on Python floats are bitwise the stacked rows
+    (``tests/test_problems.py`` checks both on draws). ``jac_e`` returns one
+    shared read-only matrix.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    dg_dw2 = -1.0 / eps
 
     def g(w1, w2, m):  # second entry of Phi_I
         return (m.sin(w1) - w2) / eps
 
-    def dg_dw1(w1, w2, m):
-        return m.cos(w1) / eps
+    def dg(w1, w2, m):
+        return m.cos(w1) / eps, dg_dw2
 
     def dh(w1, w2, m):
         # second entry of Phi_I' Phi is h = (-w2 cos w1 - w1 - (sin w1 - w2)/eps)/eps
@@ -152,26 +186,14 @@ def pareschi_russo(eps: float = 1.0) -> SplitProblem:
     def phi_e(w):  # no arithmetic: as fast on numpy scalars
         return np.array([-w[1], w[0]])
 
-    def phi_i(w):
-        return np.array([0.0, _on_floats(g, w)])
-
     jac_e_mat = _frozen([[0.0, -1.0], [1.0, 0.0]])
 
     def jac_e(w):
         return jac_e_mat
 
-    def jac_i(w):
-        return np.array([0.0, 0.0, _on_floats(dg_dw1, w), -1.0 / eps]).reshape(2, 2)
-
-    def dphi_i_jac(w):
-        dh_dw1, dh_dw2 = _on_floats(dh, w)
-        return np.array([0.0, 0.0, dh_dw1, dh_dw2]).reshape(2, 2)
-
+    phi_i, jac_i, dphi_i_jac = _implicit_second_entry(g, dg, dh)
     phi_e.stack = lambda W: np.stack([-W[:, 1], W[:, 0]], axis=1)
-    phi_i.stack = lambda W: _second(g(W[:, 0], W[:, 1], np))
     jac_e.stack = _constant_stack(jac_e_mat)
-    jac_i.stack = lambda W: _second_row(dg_dw1(W[:, 0], W[:, 1], np), -1.0 / eps)
-    dphi_i_jac.stack = lambda W: _second_row(*dh(W[:, 0], W[:, 1], np))
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([np.pi / 2.0, 1.0]), t_end=5.0,
                         jac_e=jac_e, jac_i=jac_i, dphi_i_jac=dphi_i_jac,
@@ -184,43 +206,29 @@ def van_der_pol(eps: float = 0.1) -> SplitProblem:
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    # per state on numpy float64 scalars with builtin ``pow`` (the bits of
-    # ``**``), stacked on columns with ``_pow_rows``
-    def g(w1, w2, pw):  # second entry of Phi_I
-        return ((1.0 - pw(w1, 2)) * w2 - w1) / eps
+    def g(w1, w2, m):  # second entry of Phi_I
+        return ((1.0 - m.pow(w1, 2)) * w2 - w1) / eps
 
-    def dg(w1, w2, pw):  # second row of Phi_I'
-        return (-2.0 * w1 * w2 - 1.0) / eps, (1.0 - pw(w1, 2)) / eps
+    def dg(w1, w2, m):  # second row of Phi_I'
+        return (-2.0 * w1 * w2 - 1.0) / eps, (1.0 - m.pow(w1, 2)) / eps
 
-    def dh(w1, w2, pw):
+    def dh(w1, w2, m):
         # dh/dw for h = a w2 + b g, the second entry of Phi_I' Phi, with (a, b) = dg
-        a, b = dg(w1, w2, pw)
-        return ((-2.0 * pw(w2, 2) - 2.0 * w1 * g(w1, w2, pw)) / eps + a * b,
-                -2.0 * w1 * w2 / eps + a + pw(b, 2))
+        a, b = dg(w1, w2, m)
+        return ((-2.0 * m.pow(w2, 2) - 2.0 * w1 * g(w1, w2, m)) / eps + a * b,
+                -2.0 * w1 * w2 / eps + a + m.pow(b, 2))
 
     def phi_e(w):
         return np.array([w[1], 0.0])
-
-    def phi_i(w):
-        return np.array([0.0, g(w[0], w[1], pow)])
 
     jac_e_mat = _frozen([[0.0, 1.0], [0.0, 0.0]])
 
     def jac_e(w):
         return jac_e_mat
 
-    def jac_i(w):
-        return np.array([[0.0, 0.0], dg(w[0], w[1], pow)])
-
-    def dphi_i_jac(w):
-        return np.array([[0.0, 0.0], dh(w[0], w[1], pow)])
-
+    phi_i, jac_i, dphi_i_jac = _implicit_second_entry(g, dg, dh)
     phi_e.stack = lambda W: np.stack([W[:, 1], np.zeros(len(W))], axis=1)
-    phi_i.stack = lambda W: _second(g(W[:, 0], W[:, 1], _pow_rows))
     jac_e.stack = _constant_stack(jac_e_mat)
-    jac_i.stack = lambda W: _second_row(*dg(W[:, 0], W[:, 1], _pow_rows))
-    dphi_i_jac.stack = lambda W: _second_row(*dh(W[:, 0], W[:, 1], _pow_rows))
-
     return SplitProblem(dim=2, phi_e=phi_e, phi_i=phi_i,
                         w0=np.array([2.0, -2.0 / 3.0 + 10.0 / 81.0 * eps]),
                         t_end=0.5, jac_e=jac_e, jac_i=jac_i,
@@ -255,8 +263,10 @@ def _gravity_derivs(u: float, y: float):
     return dP_dx, dP_dy, dQ_dy, dR_dy
 
 
-def _accel(x, y):
-    """Gravitational acceleration (ax, ay) at the position (x, y)."""
+def _accel(x, y, m):
+    """Gravitational acceleration (ax, ay) at the position (x, y). Like the
+    two helpers below it takes ``_on_floats``'s library ``m`` and leaves it
+    unused: ``**`` is libm ``pow`` on Python floats and float64 scalars."""
     d1 = ((x + _MU) ** 2 + y ** 2) ** 1.5
     d2 = ((x - _MU_P) ** 2 + y ** 2) ** 1.5
     ax = -_MU_P * (x + _MU) / d1 - _MU * (x - _MU_P) / d2
@@ -264,7 +274,7 @@ def _accel(x, y):
     return ax, ay
 
 
-def _accel_jac(x, y):
+def _accel_jac(x, y, m):
     """Entries (a, b, c) of A = d(ax, ay)/d(x, y) = [[a, b], [b, c]] =
     -mu' G1 - mu G2, with G1, G2 the gravity matrices of the two bodies."""
     P1, Q1, R1 = _gravity(x + _MU, y)
@@ -273,32 +283,12 @@ def _accel_jac(x, y):
             -_MU_P * R1 - _MU * R2)
 
 
-def _accel_jac_derivs(x, y):
+def _accel_jac_derivs(x, y, m):
     """The four distinct entries of dA/dx and dA/dy, as ``_gravity_derivs``."""
     g1 = _gravity_derivs(x + _MU, y)
     g2 = _gravity_derivs(x - _MU_P, y)
     return (-_MU_P * g1[0] - _MU * g2[0], -_MU_P * g1[1] - _MU * g2[1],
             -_MU_P * g1[2] - _MU * g2[2], -_MU_P * g1[3] - _MU * g2[3])
-
-
-def _at_position(fn, w):
-    """``fn(x, y)`` at the position of ``w``, computed on Python floats.
-
-    Python float ``**`` and ``/`` raise where IEEE arithmetic overflows or
-    divides by zero (a Newton iterate far off the orbit, a state on a body);
-    there ``fn`` runs again on numpy float64 scalars, which give the IEEE
-    inf/NaN that the solver's finiteness checks turn into NonFiniteError.
-    """
-    x, y = w.tolist()[:2]
-    try:
-        return fn(x, y)
-    except (OverflowError, ZeroDivisionError):
-        return fn(w[0], w[1])
-
-
-def _at_positions(fn, W):
-    """(B, m) array of ``_at_position(fn, w)`` over the rows w of ``W``."""
-    return np.array([_at_position(fn, w) for w in W])
 
 
 def arenstorf() -> SplitProblem:
@@ -308,17 +298,13 @@ def arenstorf() -> SplitProblem:
     State is (x, y, x', y'); the 1/D gravitational terms are implicit, the
     rotation/velocity terms explicit. The state at t_end is w0 again.
 
-    The callbacks compute on Python floats read once from the state, since
-    numpy's per-call overhead on scalar entries costs more than their
-    arithmetic, and build each result with one ``np.array`` call. The
-    expressions are the ones numpy float64 scalars would evaluate, in the same
-    order, so the results are bitwise those: both call libm ``pow`` for
-    ``**``. What must stay numpy is kept numpy: dA/dx @ (x', y') and
-    dA/dy @ (x', y'), formed as one (4, 2) product whose rows keep the bits
-    of the two 2 x 2 products (the summation is BLAS's, with fused
-    multiply-adds, which Python float sums do not reproduce), and the
-    fallback to float64 scalars where Python raises instead of returning
-    inf/NaN (``_at_position``). The stacked forms keep that float math per row.
+    The callbacks compute on Python floats (``_on_floats``), since numpy's
+    per-call overhead on scalar entries costs more than their arithmetic, and
+    build each result with one ``np.array`` call. What must stay numpy is kept
+    numpy: dA/dx @ (x', y') and dA/dy @ (x', y'), formed as one (4, 2) product
+    whose rows keep the bits of the two 2 x 2 products (the summation is
+    BLAS's, with fused multiply-adds, which Python float sums do not
+    reproduce). The stacked forms keep that float math per row.
     ``jac_e`` returns one shared read-only matrix.
     """
 
@@ -327,7 +313,7 @@ def arenstorf() -> SplitProblem:
         return np.array([u, v, x + 2.0 * v, y - 2.0 * u])
 
     def phi_i(w):
-        ax, ay = _at_position(_accel, w)
+        ax, ay = _on_floats(_accel, w)
         return np.array([0.0, 0.0, ax, ay])
 
     jac_e_mat = _frozen([[0.0, 0.0, 1.0, 0.0],
@@ -346,7 +332,7 @@ def arenstorf() -> SplitProblem:
 
     def jac_i(w):
         nonlocal accel_memo
-        A = _at_position(_accel_jac, w)
+        A = _on_floats(_accel_jac, w)
         accel_memo = (w, A)
         a, b, c = A
         return np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -357,9 +343,9 @@ def arenstorf() -> SplitProblem:
         # coordinates (A depends on x, y only)
         w_memo, A = accel_memo
         if w_memo is not w:
-            A = _at_position(_accel_jac, w)
+            A = _on_floats(_accel_jac, w)
         a, b, c = A
-        e1, e2, e3, e4 = _at_position(_accel_jac_derivs, w)
+        e1, e2, e3, e4 = _on_floats(_accel_jac_derivs, w)
         # rows 0, 1: dA/dx @ (x', y'); rows 2, 3: dA/dy @ (x', y')
         gx0, gx1, gy0, gy1 = (np.array([e1, e2, e2, e3, e2, e3, e3, e4]).reshape(4, 2)
                               @ w[2:]).tolist()
@@ -368,12 +354,12 @@ def arenstorf() -> SplitProblem:
 
     def jac_i_stack(W):
         out = np.zeros((len(W), 4, 4))
-        out[:, 2:, :2] = _at_positions(_accel_jac, W)[:, [[0, 1], [1, 2]]]
+        out[:, 2:, :2] = _on_float_rows(_accel_jac, W)[:, [[0, 1], [1, 2]]]
         return out
 
     def dphi_i_jac_stack(W):
         out = jac_i_stack(W)[:, :, [2, 3, 0, 1]]  # A moved to columns 2, 3
-        e = _at_positions(_accel_jac_derivs, W)
+        e = _on_float_rows(_accel_jac_derivs, W)
         # matmul's bits depend on its operands' memory layout: contiguous
         # ones give the per-state products'
         v = np.ascontiguousarray(W[:, 2:, None])
@@ -384,7 +370,7 @@ def arenstorf() -> SplitProblem:
     phi_e.stack = lambda W: np.stack([W[:, 2], W[:, 3], W[:, 0] + 2.0 * W[:, 3],
                                       W[:, 1] - 2.0 * W[:, 2]], axis=1)
     phi_i.stack = lambda W: np.concatenate([np.zeros_like(W[:, 2:]),
-                                            _at_positions(_accel, W)], axis=1)
+                                            _on_float_rows(_accel, W)], axis=1)
     jac_e.stack = _constant_stack(jac_e_mat)
     jac_i.stack, dphi_i_jac.stack = jac_i_stack, dphi_i_jac_stack
 

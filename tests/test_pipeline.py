@@ -576,6 +576,52 @@ def test_the_caller_runs_process_0_and_forks_the_others(monkeypatch, cpus, forks
     assert par.updates.tobytes() == integrate(p, cfg).updates.tobytes()
 
 
+@pytest.mark.parametrize("caller", ["daemonic", "threads"])
+def test_a_caller_that_may_not_fork_runs_every_iterate(monkeypatch, caller):
+    # a daemonic process may not have children, and a fork beside a running
+    # thread would copy the locks it holds: either caller gets integrate's
+    # bits from its own process, as a study does (_study_groups)
+    from multiprocessing.process import BaseProcess
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    start, started = BaseProcess.start, []
+
+    def count(proc):
+        started.append(proc.name)
+        start(proc)
+
+    monkeypatch.setattr(BaseProcess, "start", count)
+    p, cfg = scalar_pow(), SolverConfig(variant="Alg1", q=4, kmax=3, n_steps=8)
+
+    def run():
+        try:
+            return integrate_parallel(p, cfg).updates.tobytes(), started
+        except Exception as exc:  # noqa: BLE001 - reported as the result
+            return repr(exc), started
+
+    if caller == "daemonic":
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: writer.send(run()), daemon=True)
+        start(child)  # uncounted: only the child's own starts are
+        assert reader.poll(60.0), "the daemonic caller sent nothing"
+        got, forks = reader.recv()
+        child.join(10.0)
+        assert not child.is_alive()
+    else:
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60.0,))
+        other.start()
+        try:
+            got, forks = run()
+        finally:
+            release.set()
+            other.join(10.0)
+        assert not other.is_alive()
+    assert forks == []
+    assert got == integrate(p, cfg).updates.tobytes()
+
+
 @pytest.mark.parametrize("variant,kmax,cpus", [("Alg1", 3, 2), ("Alg2", 5, 3), ("LO", 2, 3)])
 def test_each_process_holds_only_its_own_pipe_ends(monkeypatch, tmp_path, variant, kmax,
                                                   cpus):

@@ -342,7 +342,7 @@ def test_arenstorf_one_4x2_product_equals_two_2x2_products_bitwise(position, vel
 
     w = np.array([*position, *velocity])
     with np.errstate(all="ignore"):
-        e1, e2, e3, e4 = problems._at_position(problems._accel_jac_derivs, w)
+        e1, e2, e3, e4 = problems._on_floats(problems._accel_jac_derivs, w)
         gx = np.array([[e1, e2], [e2, e3]]) @ w[2:]
         gy = np.array([[e2, e3], [e3, e4]]) @ w[2:]
         M = arenstorf().dphi_i_jac(w)
@@ -366,7 +366,7 @@ def test_arenstorf_callbacks_match_numpy_where_python_floats_raise(w):
     raised = 0
     for fn in (problems._accel, problems._accel_jac, problems._accel_jac_derivs):
         try:
-            fn(*w.tolist()[:2])
+            fn(*w.tolist()[:2], math)
         except (OverflowError, ZeroDivisionError):
             raised += 1
     assert raised
@@ -484,6 +484,50 @@ def test_pareschi_russo_callbacks_equal_numpy_scalar_formulas_bitwise(w, eps):
     # array and scalar arithmetic may propagate NaNs of either sign.
     ref = _numpy_scalar_pareschi_russo(eps)
     p = pareschi_russo(eps=eps)
+    W = np.array([w])
+    with np.errstate(all="ignore"):
+        for cb in _CALLBACKS:
+            got = getattr(p, cb)(W[0].copy())
+            assert got.tobytes() == ref[cb](W[0].copy()).tobytes(), (cb, w)
+            row = np.ascontiguousarray(getattr(p, cb).stack(W)[0])
+            if np.isfinite(W).all():
+                assert row.tobytes() == got.tobytes(), (cb, w)
+            else:
+                assert np.array_equal(row, got, equal_nan=True), (cb, w)
+
+
+def _numpy_scalar_van_der_pol(eps):
+    """Van der Pol's per-state callbacks on numpy float64 scalars."""
+    def parts(w):
+        w1, w2 = w
+        g = ((1.0 - w1 ** 2) * w2 - w1) / eps
+        a, b = (-2.0 * w1 * w2 - 1.0) / eps, (1.0 - w1 ** 2) / eps
+        dh = ((-2.0 * w2 ** 2 - 2.0 * w1 * g) / eps + a * b,
+              -2.0 * w1 * w2 / eps + a + b ** 2)
+        return g, (a, b), dh
+
+    return {"phi_e": lambda w: np.array([w[1], 0.0]),
+            "phi_i": lambda w: np.array([0.0, parts(w)[0]]),
+            "jac_e": lambda w: np.array([[0.0, 1.0], [0.0, 0.0]]),
+            "jac_i": lambda w: np.array([[0.0, 0.0], parts(w)[1]]),
+            "dphi_i_jac": lambda w: np.array([[0.0, 0.0], parts(w)[2]])}
+
+
+# near the orbit, +-0, any magnitude, squares that overflow a Python float
+# (1e160), and the non-finite entries
+_VDP_ENTRY = st.one_of(st.floats(-3.0, 3.0), st.floats(-1.7e308, 1.7e308),
+                       st.sampled_from([0.0, -0.0, 1e160, -1e160, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_VDP_ENTRY, min_size=2, max_size=2),
+       st.sampled_from([0.1, 1e-3, 1.0, 3.0]))
+def test_van_der_pol_callbacks_equal_numpy_scalar_formulas_bitwise(w, eps):
+    # The per-state callbacks compute on Python floats and fall back to
+    # float64 scalars where Python raises; the stacked row is bitwise too at a
+    # finite state, and at a non-finite one up to the sign of a NaN.
+    ref = _numpy_scalar_van_der_pol(eps)
+    p = van_der_pol(eps=eps)
     W = np.array([w])
     with np.errstate(all="ignore"):
         for cb in _CALLBACKS:
